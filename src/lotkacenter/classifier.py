@@ -14,7 +14,7 @@ from enum import Enum
 
 from .errors import InternalInconsistency
 from .focal import FocalBranch, FocalValues, closed_form_focal
-from .model import CanonicalParams, EigenvalueKind, jacobian
+from .model import CLOSE_TOL, CanonicalParams, EigenvalueKind, close, jacobian
 
 __all__ = [
     "CenterCase",
@@ -28,7 +28,7 @@ __all__ = [
     "witness_factor_value",
 ]
 
-MATCH_TOL = 1e-9
+MATCH_TOL = CLOSE_TOL
 
 
 class CenterCase(Enum):
@@ -64,10 +64,6 @@ class CenterClassification:
     focal: FocalValues | None
 
 
-def _eq(u: float, v: float, tol: float = MATCH_TOL) -> bool:
-    return abs(u - v) <= tol * (1.0 + abs(u) + abs(v))
-
-
 def linear_type(c: CanonicalParams) -> LinearType:
     summary = jacobian(c)
     kind = summary.eigenvalue_kind
@@ -86,46 +82,46 @@ def match_table_cases(c: CanonicalParams, *, tol: float = MATCH_TOL) -> frozense
     may contain several members."""
     a1, b1, a3, b3, K = c.a1, c.b1, c.a3, c.b3, c.K
     out = set()
-    if _eq(a1, 0.0, tol) and _eq(b3, 0.0, tol) and a3 * b1 > 0.0:
+    if close(a1, 0.0, tol) and close(b3, 0.0, tol) and a3 * b1 > 0.0:
         out.add(CenterCase.I)
     if (
         abs(b3) > tol
-        and _eq(a1, a3 + 1.0, tol)
-        and _eq(b3, b1 + 1.0, tol)
+        and close(a1, a3 + 1.0, tol)
+        and close(b3, b1 + 1.0, tol)
         and a1 / b3 > 0.0
-        and _eq(K, a1 / b3, tol)
+        and close(K, a1 / b3, tol)
         and a1 + b3 < 1.0
     ):
         out.add(CenterCase.II)
     if (
-        _eq(a3, -1.0, tol)
-        and _eq(b3, 1.0, tol)
+        close(a3, -1.0, tol)
+        and close(b3, 1.0, tol)
         and a1 > 0.0
-        and _eq(K, a1, tol)
+        and close(K, a1, tol)
         and a1 + b1 < 0.0
     ):
         out.add(CenterCase.III)
     if (
-        _eq(a1, 1.0, tol)
-        and _eq(b1, -1.0, tol)
+        close(a1, 1.0, tol)
+        and close(b1, -1.0, tol)
         and b3 > 0.0
-        and _eq(K, 1.0 / b3, tol)
+        and close(K, 1.0 / b3, tol)
         and a3 + b3 < 0.0
     ):
         out.add(CenterCase.IV)
     if (
-        _eq(a1, b3, tol)
-        and _eq(a3, b1, tol)
-        and _eq(K, 1.0, tol)
+        close(a1, b3, tol)
+        and close(a3, b1, tol)
+        and close(K, 1.0, tol)
         and abs(a1) < abs(b1)
     ):
         out.add(CenterCase.R1)
     denom = b3 - b1 - 1.0
     if (
         denom > 0.0
-        and _eq(a1, K * b3, tol)
-        and _eq(a3, K * b1, tol)
-        and _eq(K, 1.0 / denom, tol)
+        and close(a1, K * b3, tol)
+        and close(a3, K * b1, tol)
+        and close(K, 1.0 / denom, tol)
         and abs(b3) < abs(b1)
     ):
         out.add(CenterCase.R2)

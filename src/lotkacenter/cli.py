@@ -8,15 +8,15 @@ error, 65 numeric or domain error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
-import os
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .classifier import CenterCase, Verdict, classification_record, classify
+from .classifier import MATCH_TOL, CenterCase, Verdict, classification_record, classify
 from .conserved import IntegralCase, build_integral, format_integral, invariance_residual
 from .dynamics import (
     STEP_BUDGET_DEFAULT,
@@ -70,6 +70,13 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage failures exit with code 64."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse alone reads "-1e-3" as an unknown option; no option of
+        # this CLI starts with a digit, so any "-<digit>" or "-.<digit>" is
+        # a negative number
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -172,24 +179,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise _UsageError(f"--{name}-range must be a finite increasing pair")
         grids.append([float(v) for v in np.linspace(lo, hi, steps)])
 
-    nodes = [
-        (a1, b1, a3, args.K, args.match_tol)
-        for a1 in grids[0]
-        for b1 in grids[1]
-        for a3 in grids[2]
-    ]
-    try:
-        workers = max(1, int(os.environ.get("LOTKA_THREADS", "4")))
-    except ValueError:
-        workers = 4
-
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     n = 0
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for rec in pool.map(lambda node: _sweep_node(*node), nodes):
-                out.write(json.dumps(rec, allow_nan=False) + "\n")
-                n += 1
+        for a1, b1, a3 in itertools.product(*grids):
+            rec = _sweep_node(a1, b1, a3, args.K, args.match_tol)
+            out.write(json.dumps(rec, allow_nan=False) + "\n")
+            n += 1
     finally:
         if out is not sys.stdout:
             out.close()
@@ -306,7 +302,7 @@ def build_parser() -> _Parser:
     _add_param_flags(p)
     p.add_argument("--l1-tol", type=float, default=1e-10)
     p.add_argument("--l2-tol", type=float, default=1e-10)
-    p.add_argument("--match-tol", type=float, default=1e-9)
+    p.add_argument("--match-tol", type=float, default=MATCH_TOL)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser(
@@ -320,7 +316,7 @@ def build_parser() -> _Parser:
     p.add_argument("--a1-steps", type=int, default=50)
     p.add_argument("--b1-steps", type=int, default=50)
     p.add_argument("--a3-steps", type=int, default=50)
-    p.add_argument("--match-tol", type=float, default=1e-9)
+    p.add_argument("--match-tol", type=float, default=MATCH_TOL)
     p.add_argument("--out", default="-", help="output path for JSON lines, - for stdout")
     p.set_defaults(func=_cmd_sweep)
 
@@ -386,11 +382,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
+        _PARSER.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

@@ -15,7 +15,7 @@ from enum import Enum
 
 from .classifier import CenterCase, match_table_cases
 from .errors import CaseMismatch, DomainError, NoKnownIntegral
-from .model import CanonicalParams, Point, vector_field
+from .model import CanonicalParams, Point, close, vector_field
 
 __all__ = [
     "FirstIntegral",
@@ -126,16 +126,9 @@ def _power_or_log_y(coeff_over_exp_num: float, exponent: float) -> Term:
     return Term(coeff=coeff_over_exp_num / exponent, kind=TermKind.POWER_Y, y_exp=exponent)
 
 
-_INTERSECTION_TOL = 1e-9
-
-
 def _in_r_intersection(c: CanonicalParams) -> bool:
     """Shared subfamily of the two reversible families:
     a1 = b3 = b1 + 2, a3 = b1, K = 1, b1 < -1."""
-
-    def close(u: float, v: float) -> bool:
-        return abs(u - v) <= _INTERSECTION_TOL * (1.0 + abs(u) + abs(v))
-
     return (
         close(c.a1, c.b1 + 2.0)
         and close(c.b3, c.b1 + 2.0)

@@ -34,6 +34,7 @@ __all__ = [
     "CycleStability",
     "LimitCycleReport",
     "ReturnRecord",
+    "SignProbe",
     "TerminationReason",
     "Trajectory",
     "bautin_scenario",
@@ -44,6 +45,7 @@ __all__ = [
     "format_trajectory",
     "integrate",
     "poincare_return",
+    "return_map_sign_probe",
     "section_displacement",
 ]
 
@@ -515,6 +517,47 @@ def displacement_profile(
 ) -> list[tuple[float, float]]:
     """(radius, displacement) pairs; NoReturn from any radius propagates."""
     return [(r, section_displacement(c, r, rel_tol)) for r in radii]
+
+
+@dataclass(frozen=True)
+class SignProbe:
+    """Sign of the return-map displacement at a small radius.
+
+    ``sign`` is 0 when both measured displacements sit inside the noise
+    band, so a center is indistinguishable from focal values below the
+    integration accuracy.
+    """
+
+    sign: int
+    displacement: float
+    displacement_half: float
+    threshold: float
+
+
+def return_map_sign_probe(
+    c: CanonicalParams,
+    radius: float,
+    *,
+    rel_tol: float = 1e-10,
+    threshold: float = 1e-9,
+) -> SignProbe:
+    """Integrate one return at ``radius`` and ``radius/2`` and report the
+    displacement sign, 0 if below the noise threshold."""
+    if not 0.0 < radius <= 0.2:
+        raise ValueError(f"radius must lie in (0, 0.2], got {radius}")
+    d_full = section_displacement(c, radius, rel_tol=rel_tol)
+    d_half = section_displacement(c, radius / 2.0, rel_tol=rel_tol)
+    if abs(d_full) <= threshold and abs(d_half) <= threshold:
+        sign = 0
+    else:
+        lead = d_full if abs(d_full) >= abs(d_half) else d_half
+        sign = 1 if lead > 0.0 else -1
+    return SignProbe(
+        sign=sign,
+        displacement=d_full,
+        displacement_half=d_half,
+        threshold=threshold,
+    )
 
 
 def detect_limit_cycles(

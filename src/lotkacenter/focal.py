@@ -18,24 +18,20 @@ from enum import Enum
 import numpy as np
 
 from .errors import InsufficientDegree, InternalInconsistency, PreconditionViolated
-from .model import CanonicalParams, jacobian, trace_tolerance
+from .model import CLOSE_TOL, CanonicalParams, close, jacobian, trace_tolerance
 
 __all__ = [
     "FocalBranch",
     "FocalValues",
     "LyapunovQuantities",
-    "SignProbe",
     "TaylorField",
     "closed_form_focal",
     "focal_record",
     "lyapunov_numeric",
-    "return_map_sign_probe",
     "taylor_expand",
 ]
 
 L1_ZERO_TOL = 1e-10
-#: relative tolerance for the algebraic branch tests below
-_BRANCH_TOL = 1e-9
 
 
 class FocalBranch(Enum):
@@ -61,10 +57,6 @@ class FocalValues:
     L2: float | None
     d_value: float
     branch: FocalBranch
-
-
-def _close(u: float, v: float, tol: float = _BRANCH_TOL) -> bool:
-    return abs(u - v) <= tol * (1.0 + abs(u) + abs(v))
 
 
 def closed_form_focal(
@@ -104,13 +96,13 @@ def closed_form_focal(
     if abs(l1) > l1_zero_tol * max(1.0, l1_scale):
         return FocalValues(L1=l1, L2=None, d_value=d_value, branch=FocalBranch.NOT_APPLICABLE)
 
-    if _close(b3, 0.0):
+    if close(b3, 0.0):
         # a1 = K*b3 = 0 as well; every focal value vanishes
         return FocalValues(L1=l1, L2=0.0, d_value=d_value, branch=FocalBranch.CASE_A_B3_ZERO)
 
-    if _close(b3, 1.0):
+    if close(b3, 1.0):
         # here D = (1 + a3)(1 - K), and L1 = 0 forces D = 0
-        if _close(K, 1.0) and (not _close(a3, -1.0) or abs(K - 1.0) <= abs(a3 + 1.0)):
+        if close(K, 1.0) and (not close(a3, -1.0) or abs(K - 1.0) <= abs(a3 + 1.0)):
             l2 = (
                 (math.pi / 288.0)
                 * a3
@@ -120,14 +112,14 @@ def closed_form_focal(
                 / (root * b1)
             )
             return FocalValues(L1=l1, L2=l2, d_value=d_value, branch=FocalBranch.CASE_C2)
-        if _close(a3, -1.0):
+        if close(a3, -1.0):
             return FocalValues(L1=l1, L2=0.0, d_value=d_value, branch=FocalBranch.CASE_C1)
         raise InternalInconsistency(
             f"L1 = {l1} is below tolerance with b3 = 1 but neither K = 1 nor a3 = -1"
         )
 
     # generic branch: b3 not in {0, 1}; D = 0 here would force L1 away from 0
-    if abs(d_value) <= _BRANCH_TOL * (1.0 + abs(a3) * (1.0 + K) + abs(b3) * K):
+    if abs(d_value) <= CLOSE_TOL * (1.0 + abs(a3) * (1.0 + K) + abs(b3) * K):
         raise InternalInconsistency(
             f"L1 = {l1} is below tolerance with D = {d_value} ~ 0 but b3 = {b3} not 1"
         )
@@ -367,50 +359,3 @@ def lyapunov_numeric(
         if any(abs(e) > vanish_tol for e in ell[:k] if math.isfinite(e)):
             ell[k] = math.nan
     return LyapunovQuantities(ell=tuple(ell), omega=omega)
-
-
-# ---------------------------------------------------------------------------
-# Return-map sign probe
-
-
-@dataclass(frozen=True)
-class SignProbe:
-    """Sign of the return-map displacement at a small radius.
-
-    ``sign`` is 0 when both measured displacements sit inside the noise
-    band, so a center is indistinguishable from focal values below the
-    integration accuracy.
-    """
-
-    sign: int
-    displacement: float
-    displacement_half: float
-    threshold: float
-
-
-def return_map_sign_probe(
-    c: CanonicalParams,
-    radius: float,
-    *,
-    rel_tol: float = 1e-10,
-    threshold: float = 1e-9,
-) -> SignProbe:
-    """Integrate one return at ``radius`` and ``radius/2`` and report the
-    displacement sign, 0 if below the noise threshold."""
-    if not 0.0 < radius <= 0.2:
-        raise ValueError(f"radius must lie in (0, 0.2], got {radius}")
-    from .dynamics import section_displacement  # deferred: dynamics imports this module
-
-    d_full = section_displacement(c, radius, rel_tol=rel_tol)
-    d_half = section_displacement(c, radius / 2.0, rel_tol=rel_tol)
-    if abs(d_full) <= threshold and abs(d_half) <= threshold:
-        sign = 0
-    else:
-        lead = d_full if abs(d_full) >= abs(d_half) else d_half
-        sign = 1 if lead > 0.0 else -1
-    return SignProbe(
-        sign=sign,
-        displacement=d_full,
-        displacement_half=d_half,
-        threshold=threshold,
-    )

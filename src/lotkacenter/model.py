@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DomainError, NonIsolatedEquilibrium, NoPositiveEquilibrium
 
 __all__ = [
+    "CLOSE_TOL",
     "CanonicalParams",
     "EigenvalueKind",
     "JacobianSummary",
@@ -27,6 +28,7 @@ __all__ = [
     "Point",
     "RawLotkaParams",
     "canonicalize",
+    "close",
     "from_offset_form",
     "from_record",
     "jacobian",
@@ -35,6 +37,15 @@ __all__ = [
     "trace_tolerance",
     "vector_field",
 ]
+
+
+#: tolerance of ``close``, shared by the family, branch and transform tests
+CLOSE_TOL = 1e-9
+
+
+def close(u: float, v: float, tol: float = CLOSE_TOL) -> bool:
+    """Relative equality: |u - v| <= tol * (1 + |u| + |v|)."""
+    return abs(u - v) <= tol * (1.0 + abs(u) + abs(v))
 
 
 def _require_finite(name: str, value: float) -> None:

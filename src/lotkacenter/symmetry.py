@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CaseMismatch, DegenerateK, DomainError
-from .model import CanonicalParams, Point, vector_field
+from .model import CLOSE_TOL, CanonicalParams, Point, close, vector_field
 
 __all__ = [
     "TransformedField",
@@ -24,16 +24,10 @@ __all__ = [
     "transformed_field_value",
 ]
 
-_TOL = 1e-9
-
 
 def reflection(pt: Point | tuple[float, float]) -> tuple[float, float]:
     x, y = (pt.x, pt.y) if isinstance(pt, Point) else pt
     return y, x
-
-
-def _close(u: float, v: float) -> bool:
-    return abs(u - v) <= _TOL * (1.0 + abs(u) + abs(v))
 
 
 def _residual_at(
@@ -93,14 +87,14 @@ def r2_transform(c: CanonicalParams) -> TransformedField:
     defining denominator b3 - b1 - 1 is not positive.
     """
     denom = c.b3 - c.b1 - 1.0
-    if denom <= _TOL:
+    if denom <= CLOSE_TOL:
         raise DegenerateK(
             f"b3 - b1 - 1 = {denom} must be positive for the transform"
         )
     if not (
-        _close(c.a1, c.K * c.b3)
-        and _close(c.a3, c.K * c.b1)
-        and _close(c.K, 1.0 / denom)
+        close(c.a1, c.K * c.b3)
+        and close(c.a3, c.K * c.b1)
+        and close(c.K, 1.0 / denom)
     ):
         raise CaseMismatch(f"{c} does not satisfy the second reversible family")
     return TransformedField(

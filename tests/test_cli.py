@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, robustness."""
 
+import hashlib
 import json
 import math
 import random
@@ -42,6 +43,12 @@ def test_classify_not_elliptic_exits_two(capsys):
     code = run_cli(["classify", "--a1", "2", "--b1", "1", "--a3", "1", "--b3", "1", "--K", "1"])
     assert code == 2
     assert "verdict=NotElliptic" in capsys.readouterr().out
+
+
+def test_classify_accepts_exponent_notation_negatives(capsys):
+    argv = ["classify", "--a1", "-1e-3", "--b1", "1", "--a3", "1", "--b3", "-1e-3", "--K", "1"]
+    assert run_cli(argv) == 0
+    assert "cases=R1" in capsys.readouterr().out
 
 
 def test_classify_raw_form_matches_canonical(capsys):
@@ -106,7 +113,7 @@ def test_sweep_grid(tmp_path, capsys):
             assert math.isfinite(rec["L1"])
 
 
-def test_sweep_is_deterministic(tmp_path, monkeypatch):
+def test_sweep_is_deterministic(tmp_path):
     args = [
         "sweep",
         *("--K", "0.7"),
@@ -117,9 +124,17 @@ def test_sweep_is_deterministic(tmp_path, monkeypatch):
     first = tmp_path / "a.jsonl"
     second = tmp_path / "b.jsonl"
     assert run_cli([*args, "--out", str(first)]) == 0
-    monkeypatch.setenv("LOTKA_THREADS", "2")
     assert run_cli([*args, "--out", str(second)]) == 0
     assert first.read_text() == second.read_text()
+
+
+def test_sweep_golden_output(tmp_path):
+    # a 7x7x7 grid over the default ranges reaches all five verdicts
+    out_file = tmp_path / "golden.jsonl"
+    steps = ("--a1-steps", "7", "--b1-steps", "7", "--a3-steps", "7")
+    assert run_cli(["sweep", "--K", "1", *steps, "--out", str(out_file)]) == 0
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == "104d6cab9ed0fdc7527a5ece1637eb9121299e854066e9e9fb37fa1bfc294159"
 
 
 def test_simulate_writes_tsv(tmp_path, capsys):
