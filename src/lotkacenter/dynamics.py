@@ -1,7 +1,9 @@
 """Adaptive integration, return maps and limit-cycle detection.
 
-The stepper is an embedded Dormand-Prince 5(4) pair on plain scalars.
-Two behaviors are deliberate rather than generic:
+The stepper is an embedded Dormand-Prince 5(4) pair on plain scalars,
+built once per integration as a closure over the system's exponents
+with the field inlined into each stage.  Two behaviors are deliberate
+rather than generic:
 
 * a positivity guard rejects and halves any step whose stages leave the
   open quadrant (or overflow), so power-law evaluation never sees a
@@ -13,6 +15,10 @@ Two behaviors are deliberate rather than generic:
 Section crossings are located on the cubic Hermite interpolant of the
 bracketing step and then polished by Newton iterations that re-integrate
 a substep, so the reported crossing lies on the numerical orbit itself.
+
+Cycle search scans the displacement over radii, confirms each sign
+change at the refinement tolerance, and refines the confirmed brackets
+with Brent's method; the Bautin eps search reads only the bracket signs.
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BadBase, IntegrationFailure, NoReturn, PreconditionViolated
 from .focal import FocalValues, closed_form_focal
@@ -154,77 +160,97 @@ def _rhs_factory(c: CanonicalParams):
 
 def _char_period(c: CanonicalParams) -> float:
     det = jacobian(c).determinant
-    rate = max(0.05, math.sqrt(abs(det)), 1e-3)
+    rate = max(0.05, math.sqrt(abs(det)))
     return 2.0 * math.pi / rate
 
 
-def _step_cap(c: CanonicalParams, rel_tol: float) -> float:
-    t_char = _char_period(c)
+def _step_cap(t_char: float, rel_tol: float) -> float:
     return t_char * min(_CAP_STATIC, _CAP_GAMMA * math.sqrt(rel_tol))
 
 
-@dataclass
-class _StepResult:
-    x: float
-    y: float
-    fx: float
-    fy: float
-    err: tuple[float, float]
+def _dp54_step(c: CanonicalParams):
+    """The DP54 step of one system.
 
+    ``step(x, y, fx, fy, h)`` takes the state and its field value and
+    returns ``(x1, y1, fx1, fy1, ex, ey)``: the new state, the field
+    there and the embedded error estimate.  It returns None when a stage
+    leaves the open quadrant, overflows or is not finite; every stage
+    inlines the field of ``_rhs_factory`` with the same guard.
+    """
+    a1, b1, a3, b3, K = c.a1, c.b1, c.a3, c.b3, c.K
+    inf = math.inf
+    isfinite = math.isfinite
+    (a21,) = _A2
+    a31, a32 = _A3
+    a41, a42, a43 = _A4
+    a51, a52, a53, a54 = _A5
+    a61, a62, a63, a64, a65 = _A6
+    b_1, _, b_3, b_4, b_5, b_6 = _B
+    e1, _, e3, e4, e5, e6, e7 = _E
 
-def _try_step(rhs, x, y, fx, fy, h) -> _StepResult | None:
-    """One DP54 step; None when a stage left the admissible region."""
-    k1x, k1y = fx, fy
+    def step(x, y, k1x, k1y, h):
+        try:
+            xs = x + h * (a21 * k1x)
+            ys = y + h * (a21 * k1y)
+            if not (0.0 < xs < inf and 0.0 < ys < inf):
+                return None
+            k2x = xs**a1 * ys**b1 - 1.0
+            k2y = K * (1.0 - xs**a3 * ys**b3)
+            if not (isfinite(k2x) and isfinite(k2y)):
+                return None
 
-    xs = x + h * (_A2[0] * k1x)
-    ys = y + h * (_A2[0] * k1y)
-    f = rhs(xs, ys)
-    if f is None:
-        return None
-    k2x, k2y = f
+            xs = x + h * (a31 * k1x + a32 * k2x)
+            ys = y + h * (a31 * k1y + a32 * k2y)
+            if not (0.0 < xs < inf and 0.0 < ys < inf):
+                return None
+            k3x = xs**a1 * ys**b1 - 1.0
+            k3y = K * (1.0 - xs**a3 * ys**b3)
+            if not (isfinite(k3x) and isfinite(k3y)):
+                return None
 
-    xs = x + h * (_A3[0] * k1x + _A3[1] * k2x)
-    ys = y + h * (_A3[0] * k1y + _A3[1] * k2y)
-    f = rhs(xs, ys)
-    if f is None:
-        return None
-    k3x, k3y = f
+            xs = x + h * (a41 * k1x + a42 * k2x + a43 * k3x)
+            ys = y + h * (a41 * k1y + a42 * k2y + a43 * k3y)
+            if not (0.0 < xs < inf and 0.0 < ys < inf):
+                return None
+            k4x = xs**a1 * ys**b1 - 1.0
+            k4y = K * (1.0 - xs**a3 * ys**b3)
+            if not (isfinite(k4x) and isfinite(k4y)):
+                return None
 
-    xs = x + h * (_A4[0] * k1x + _A4[1] * k2x + _A4[2] * k3x)
-    ys = y + h * (_A4[0] * k1y + _A4[1] * k2y + _A4[2] * k3y)
-    f = rhs(xs, ys)
-    if f is None:
-        return None
-    k4x, k4y = f
+            xs = x + h * (a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x)
+            ys = y + h * (a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y)
+            if not (0.0 < xs < inf and 0.0 < ys < inf):
+                return None
+            k5x = xs**a1 * ys**b1 - 1.0
+            k5y = K * (1.0 - xs**a3 * ys**b3)
+            if not (isfinite(k5x) and isfinite(k5y)):
+                return None
 
-    xs = x + h * (_A5[0] * k1x + _A5[1] * k2x + _A5[2] * k3x + _A5[3] * k4x)
-    ys = y + h * (_A5[0] * k1y + _A5[1] * k2y + _A5[2] * k3y + _A5[3] * k4y)
-    f = rhs(xs, ys)
-    if f is None:
-        return None
-    k5x, k5y = f
+            xs = x + h * (a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x)
+            ys = y + h * (a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y)
+            if not (0.0 < xs < inf and 0.0 < ys < inf):
+                return None
+            k6x = xs**a1 * ys**b1 - 1.0
+            k6y = K * (1.0 - xs**a3 * ys**b3)
+            if not (isfinite(k6x) and isfinite(k6y)):
+                return None
 
-    xs = x + h * (_A6[0] * k1x + _A6[1] * k2x + _A6[2] * k3x + _A6[3] * k4x + _A6[4] * k5x)
-    ys = y + h * (_A6[0] * k1y + _A6[1] * k2y + _A6[2] * k3y + _A6[3] * k4y + _A6[4] * k5y)
-    f = rhs(xs, ys)
-    if f is None:
-        return None
-    k6x, k6y = f
+            x1 = x + h * (b_1 * k1x + b_3 * k3x + b_4 * k4x + b_5 * k5x + b_6 * k6x)
+            y1 = y + h * (b_1 * k1y + b_3 * k3y + b_4 * k4y + b_5 * k5y + b_6 * k6y)
+            if not (0.0 < x1 < inf and 0.0 < y1 < inf):
+                return None
+            k7x = x1**a1 * y1**b1 - 1.0
+            k7y = K * (1.0 - x1**a3 * y1**b3)
+            if not (isfinite(k7x) and isfinite(k7y)):
+                return None
+        except OverflowError:
+            return None
 
-    x1 = x + h * (_B[0] * k1x + _B[2] * k3x + _B[3] * k4x + _B[4] * k5x + _B[5] * k6x)
-    y1 = y + h * (_B[0] * k1y + _B[2] * k3y + _B[3] * k4y + _B[4] * k5y + _B[5] * k6y)
-    f = rhs(x1, y1)
-    if f is None:
-        return None
-    k7x, k7y = f
+        ex = h * (e1 * k1x + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * k7x)
+        ey = h * (e1 * k1y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y)
+        return x1, y1, k7x, k7y, ex, ey
 
-    ex = h * (
-        _E[0] * k1x + _E[2] * k3x + _E[3] * k4x + _E[4] * k5x + _E[5] * k6x + _E[6] * k7x
-    )
-    ey = h * (
-        _E[0] * k1y + _E[2] * k3y + _E[3] * k4y + _E[4] * k5y + _E[5] * k6y + _E[6] * k7y
-    )
-    return _StepResult(x=x1, y=y1, fx=k7x, fy=k7y, err=(ex, ey))
+    return step
 
 
 @dataclass(frozen=True)
@@ -259,6 +285,7 @@ def _drive(
     y0: float,
     t_max: float,
     rel_tol: float,
+    t_char: float,
     *,
     step_budget: int = STEP_BUDGET_DEFAULT,
     section: _Section | None = None,
@@ -266,20 +293,26 @@ def _drive(
     low: float = _ESCAPE_LOW,
     high: float = _ESCAPE_HIGH,
 ):
-    """Shared stepping loop.  Returns (reason, hit, stats, samples)."""
+    """Shared stepping loop; ``t_char`` is ``_char_period(c)``.
+
+    Returns (reason, hit, (accepted, rejected), (times, points), last
+    (t, x, y)); ``hit`` is None unless the section was reached, and the
+    samples are empty unless ``record``.
+    """
     if not 1e-13 <= rel_tol <= 1e-3:
         raise ValueError(f"rel_tol must lie in [1e-13, 1e-3], got {rel_tol}")
-    rhs = _rhs_factory(c)
+    step = _dp54_step(c)
+    sqrt = math.sqrt
     atol = 1e-3 * rel_tol
-    h_cap = _step_cap(c, rel_tol)
-    h_min = 1e-14 * _char_period(c)
+    h_cap = _step_cap(t_char, rel_tol)
+    h_min = 1e-14 * t_char
 
-    f = rhs(x0, y0)
+    f = _rhs_factory(c)(x0, y0)
     if f is None:
         raise IntegrationFailure(f"field not evaluable at start ({x0}, {y0})")
     fx, fy = f
     t, x, y = 0.0, x0, y0
-    h = min(h_cap, 0.01 * _char_period(c), t_max if t_max > 0 else h_cap)
+    h = min(h_cap, 0.01 * t_char, t_max if t_max > 0 else h_cap)
     n_acc = 0
     n_rej = 0
     crossings = 0
@@ -287,6 +320,8 @@ def _drive(
     pts = [(x, y)] if record else []
     hit: _SectionHit | None = None
     reason = TerminationReason.TIME_LIMIT
+    if section is not None:
+        axis, direction, t_min = section.axis, section.direction, section.t_min
 
     while t < t_max:
         if n_acc + n_rej >= step_budget:
@@ -301,14 +336,15 @@ def _drive(
             else:
                 reason = TerminationReason.STEP_BUDGET
             break
-        step = _try_step(rhs, x, y, fx, fy, h)
-        if step is None:
+        new = step(x, y, fx, fy, h)
+        if new is None:
             n_rej += 1
             h *= 0.5
             continue
-        sc_x = atol + rel_tol * max(abs(x), abs(step.x))
-        sc_y = atol + rel_tol * max(abs(y), abs(step.y))
-        err = math.sqrt(0.5 * ((step.err[0] / sc_x) ** 2 + (step.err[1] / sc_y) ** 2))
+        x1, y1, fx1, fy1, ex, ey = new
+        sc_x = atol + rel_tol * max(abs(x), abs(x1))
+        sc_y = atol + rel_tol * max(abs(y), abs(y1))
+        err = sqrt(0.5 * ((ex / sc_x) ** 2 + (ey / sc_y) ** 2))
         if err > 1.0:
             n_rej += 1
             h *= max(0.2, 0.9 * err**-0.2)
@@ -316,16 +352,16 @@ def _drive(
 
         t1 = t + h
         if section is not None:
-            g0 = (x, y)[section.axis] - 1.0
-            g1 = (step.x, step.y)[section.axis] - 1.0
+            g0 = (y if axis else x) - 1.0
+            g1 = (y1 if axis else x1) - 1.0
             crossed = (g0 > 0.0 > g1) or (g0 < 0.0 < g1) or (g1 == 0.0 and g0 != 0.0)
-            if crossed and t1 > section.t_min:
+            if crossed and t1 > t_min:
                 hit_t, hit_x, hit_y, hit_f = _locate_crossing(
-                    rhs, t, (x, y), (fx, fy), step, h, section.axis
+                    step, t, (x, y), (fx, fy), (x1, y1), (fx1, fy1), h, axis
                 )
-                if hit_t > section.t_min:
+                if hit_t > t_min:
                     crossings += 1
-                    if math.copysign(1.0, hit_f) == section.direction:
+                    if math.copysign(1.0, hit_f) == direction:
                         hit = _SectionHit(t=hit_t, x=hit_x, y=hit_y, crossings=crossings)
                         if record:
                             times.append(hit_t)
@@ -333,7 +369,7 @@ def _drive(
                         reason = TerminationReason.SECTION_RETURN
                         break
 
-        t, x, y, fx, fy = t1, step.x, step.y, step.fx, step.fy
+        t, x, y, fx, fy = t1, x1, y1, fx1, fy1
         n_acc += 1
         if record:
             times.append(t)
@@ -349,11 +385,9 @@ def _drive(
     return reason, hit, (n_acc, n_rej), (times, pts), (t, x, y)
 
 
-def _locate_crossing(rhs, t0, s0, f0, step, h, axis):
-    """Root of component ``axis`` minus 1 inside the step, polished so the
-    returned state lies on the numerical orbit."""
-    s1 = (step.x, step.y)
-    f1 = (step.fx, step.fy)
+def _locate_crossing(step, t0, s0, f0, s1, f1, h, axis):
+    """Root of component ``axis`` minus 1 inside the step from ``s0`` to
+    ``s1``, polished so the returned state lies on the numerical orbit."""
     lo, hi = 0.0, 1.0
     glo = s0[axis] - 1.0
     for _ in range(60):
@@ -372,11 +406,11 @@ def _locate_crossing(rhs, t0, s0, f0, step, h, axis):
     xr, yr, fr = s1[0], s1[1], f1
     for _ in range(6):
         dt = min(max(dt, 0.0), h)
-        sub = _try_step(rhs, s0[0], s0[1], f0[0], f0[1], dt)
+        sub = step(s0[0], s0[1], f0[0], f0[1], dt)
         if sub is None:
             break
-        xr, yr = sub.x, sub.y
-        fr = (sub.fx, sub.fy)
+        xr, yr = sub[0], sub[1]
+        fr = (sub[2], sub[3])
         g = (xr, yr)[axis] - 1.0
         if abs(g) <= 1e-14:
             break
@@ -402,7 +436,7 @@ def integrate(
     if t_max <= 0.0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     reason, _, (n_acc, n_rej), (times, pts), _ = _drive(
-        c, x0, y0, t_max, rel_tol, step_budget=step_budget, record=True
+        c, x0, y0, t_max, rel_tol, _char_period(c), step_budget=step_budget, record=True
     )
     return Trajectory(
         times=np.asarray(times),
@@ -447,7 +481,9 @@ def format_cycle_report(report: LimitCycleReport) -> str:
     return "\n".join(lines)
 
 
-def _section_for(c: CanonicalParams, radius: float) -> tuple[_Section, float, float]:
+def _section_for(
+    c: CanonicalParams, radius: float, t_char: float
+) -> tuple[_Section, float, float]:
     """Choose the transversal section and start point for a radius > 0."""
     use_x_section = abs(c.a3) <= 1e-9 * (1.0 + abs(c.a3))
     if use_x_section:
@@ -467,7 +503,7 @@ def _section_for(c: CanonicalParams, radius: float) -> tuple[_Section, float, fl
             f"derivative of the section coordinate vanishes at ({x0}, {y0})"
         )
     direction = math.copysign(1.0, g_rate)
-    t_min = 1e-8 * _char_period(c)
+    t_min = 1e-8 * t_char
     return _Section(axis=axis, direction=direction, t_min=t_min), x0, y0
 
 
@@ -487,10 +523,11 @@ def poincare_return(
     if not x0 > 1.0:
         raise PreconditionViolated(f"in-section coordinate must exceed 1, got {x0}")
     radius = x0 - 1.0
-    section, sx, sy = _section_for(c, radius)
-    t_max = periods_budget * _char_period(c)
+    t_char = _char_period(c)
+    section, sx, sy = _section_for(c, radius, t_char)
+    t_max = periods_budget * t_char
     reason, hit, _, _, last = _drive(
-        c, sx, sy, t_max, rel_tol, step_budget=step_budget, section=section
+        c, sx, sy, t_max, rel_tol, t_char, step_budget=step_budget, section=section
     )
     if hit is None:
         raise NoReturn(
@@ -560,6 +597,119 @@ def return_map_sign_probe(
     )
 
 
+def brentq(f, lo, hi, f_lo, f_hi, xtol=2e-12, rtol=4 * np.finfo(float).eps):
+    """Brent's bracketed root of ``f`` between ``lo`` and ``hi``, whose
+    values ``f_lo`` and ``f_hi`` the caller already has.
+
+    Returns ``(root, f(root))``.  The iteration is that of
+    ``scipy.optimize.brentq`` step for step, so it returns the same root
+    after the same evaluations, but it never evaluates ``f`` at the two
+    ends.  Raises ValueError when the values do not change sign or one
+    is NaN, and RuntimeError after 100 iterations.
+    """
+    if math.isnan(f_lo) or math.isnan(f_hi):
+        raise ValueError(f"bracket value is NaN: f({lo!r}) = {f_lo}, f({hi!r}) = {f_hi}")
+    if f_lo == 0.0:
+        return lo, f_lo
+    if f_hi == 0.0:
+        return hi, f_hi
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise ValueError(f"f({lo!r}) = {f_lo} and f({hi!r}) = {f_hi} have the same sign")
+    # cur is the best estimate, blk the other end of the bracket, pre the
+    # previous estimate; scur and spre are the last two steps
+    xpre, fpre, xcur, fcur = lo, f_lo, hi, f_hi
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, fcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"f({xcur!r}) is NaN")
+    raise RuntimeError(f"no convergence after 100 iterations, last estimate {xcur!r}")
+
+
+def _scan(c: CanonicalParams, radii: list[float], rel_tol: float) -> list[float]:
+    """Displacement at each radius; NaN where the orbit does not return."""
+    disp = []
+    for r in radii:
+        try:
+            disp.append(section_displacement(c, r, rel_tol))
+        except (NoReturn, PreconditionViolated):
+            disp.append(math.nan)
+    return disp
+
+
+def _brackets(
+    c: CanonicalParams,
+    radii: list[float],
+    disp: list[float],
+    scan_rel_tol: float,
+    rel_tol: float,
+    noise_floor: float,
+):
+    """Yield ``(lo, hi, f_lo, f_hi)`` for each sign change of the scan
+    that clears the noise floor and that the displacement at ``rel_tol``
+    confirms; each radius is mapped at most once."""
+    known = dict(zip(radii, disp)) if rel_tol == scan_rel_tol else {}
+
+    def at(r: float) -> float:
+        d = known.get(r)
+        if d is None:
+            d = known[r] = section_displacement(c, r, rel_tol)
+        return d
+
+    for i in range(len(radii) - 1):
+        d0, d1 = disp[i], disp[i + 1]
+        if not (math.isfinite(d0) and math.isfinite(d1)):
+            continue
+        if d0 == 0.0 or (d0 > 0.0) == (d1 > 0.0):
+            continue
+        if max(abs(d0), abs(d1)) <= noise_floor:
+            continue
+        lo, hi = radii[i], radii[i + 1]
+        f_lo, f_hi = at(lo), at(hi)
+        if f_lo == 0.0 or (f_lo > 0.0) == (f_hi > 0.0):
+            continue
+        yield lo, hi, f_lo, f_hi
+
+
+def _stability(f_lo: float) -> CycleStability:
+    """Stability of the cycle in a bracket whose inner displacement is ``f_lo``."""
+    return CycleStability.STABLE if f_lo > 0.0 else CycleStability.UNSTABLE
+
+
+def _scan_radii(r_min: float, r_max: float, n_scan: int) -> list[float]:
+    return [float(r) for r in np.geomspace(r_min, r_max, n_scan)]
+
+
 def detect_limit_cycles(
     c: CanonicalParams,
     r_min: float,
@@ -583,54 +733,35 @@ def detect_limit_cycles(
         raise ValueError(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
     if n_scan < 2:
         raise ValueError(f"n_scan must be at least 2, got {n_scan}")
-    radii = np.geomspace(r_min, r_max, n_scan)
-    disp = np.empty(n_scan)
-    for i, r in enumerate(radii):
-        try:
-            disp[i] = section_displacement(c, float(r), rel_tol)
-        except (NoReturn, PreconditionViolated):
-            disp[i] = math.nan
+    radii = _scan_radii(r_min, r_max, n_scan)
+    disp = _scan(c, radii, rel_tol)
 
     cycles: list[CycleRecord] = []
-    for i in range(n_scan - 1):
-        d0, d1 = disp[i], disp[i + 1]
-        if not (math.isfinite(d0) and math.isfinite(d1)):
-            continue
-        if d0 == 0.0 or (d0 > 0.0) == (d1 > 0.0):
-            continue
-        if max(abs(d0), abs(d1)) <= noise_floor:
-            continue
-        lo, hi = float(radii[i]), float(radii[i + 1])
-        f_lo = section_displacement(c, lo, refine_rel_tol)
-        f_hi = section_displacement(c, hi, refine_rel_tol)
-        if f_lo == 0.0 or (f_lo > 0.0) == (f_hi > 0.0):
-            continue
-        root = brentq(
+    for lo, hi, f_lo, f_hi in _brackets(c, radii, disp, rel_tol, refine_rel_tol, noise_floor):
+        root, d_root = brentq(
             lambda r: section_displacement(c, r, refine_rel_tol),
             lo,
             hi,
+            f_lo,
+            f_hi,
             xtol=1e-12,
             rtol=8.9e-16,
         )
-        d_root = section_displacement(c, float(root), refine_rel_tol)
-        stability = CycleStability.STABLE if f_lo > 0.0 else CycleStability.UNSTABLE
-        cycles.append(
-            CycleRecord(radius=float(root), displacement=d_root, stability=stability)
-        )
+        cycles.append(CycleRecord(radius=root, displacement=d_root, stability=_stability(f_lo)))
 
     return LimitCycleReport(
         cycles=tuple(cycles),
-        scan_radii=tuple(float(r) for r in radii),
-        scan_displacements=tuple(float(d) for d in disp),
+        scan_radii=tuple(radii),
+        scan_displacements=tuple(disp),
     )
+
+
+#: cycle stabilities, innermost first, of the two-cycle (Bautin) shape
+_TWO_CYCLE_SHAPE = (CycleStability.UNSTABLE, CycleStability.STABLE)
 
 
 def _two_cycle_shape(report: LimitCycleReport) -> bool:
-    return (
-        len(report.cycles) == 2
-        and report.cycles[0].stability is CycleStability.UNSTABLE
-        and report.cycles[1].stability is CycleStability.STABLE
-    )
+    return tuple(cyc.stability for cyc in report.cycles) == _TWO_CYCLE_SHAPE
 
 
 def bautin_scenario(
@@ -683,17 +814,17 @@ def bautin_scenario(
     def with_eps(eps: float) -> CanonicalParams:
         return CanonicalParams(a1=k1 - eps, b1=b1, a3=a3, b3=1.0, K=k1)
 
+    radii = _scan_radii(r_min, r_max, n_scan)
+    probe_tol = max(refine_rel_tol, 1e-9)
+
     def coarse_two(eps: float) -> bool:
-        report = detect_limit_cycles(
-            with_eps(eps),
-            r_min,
-            r_max,
-            n_scan,
-            rel_tol=rel_tol,
-            refine_rel_tol=max(refine_rel_tol, 1e-9),
-            noise_floor=noise_floor,
-        )
-        return _two_cycle_shape(report)
+        # the shape needs only the confirmed brackets' signs, and a third
+        # bracket already rules it out
+        c = with_eps(eps)
+        disp = _scan(c, radii, rel_tol)
+        brackets = _brackets(c, radii, disp, rel_tol, probe_tol, noise_floor)
+        shape = tuple(_stability(f_lo) for _, _, f_lo, _ in islice(brackets, 3))
+        return shape == _TWO_CYCLE_SHAPE
 
     if delta_a1 is None:
         eps = eps_seed

@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -256,3 +260,38 @@ def test_argument_fuzz_never_crashes(capsys):
         code = run_cli(argv)
         assert code in allowed, f"iteration {i}: {argv!r} -> {code}"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["cycles", "--a1", "0.98", "--b1", "2", "--a3", "1", "--b3", "1", "--K", "0.98"],
+            "a06ccee0e49efac88db9aaa2705191960583e5dd461362facab69d1e0bb43d7e",
+        ),
+        (
+            ["bautin", "--b1", "-2", "--a3", "-3", "--dK", "0.02"],
+            "ef74fc6d8dc09311e4ece03393fabfdce6236a0038dedf877da7f8b81489685e",
+        ),
+    ],
+    ids=["cycles", "bautin"],
+)
+def test_cycle_commands_golden_output(capsys, argv, digest):
+    # the README's cycles and bautin examples, sha256 of stdout
+    assert run_cli(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy's import alone used to double the CLI's start-up time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, lotkacenter.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

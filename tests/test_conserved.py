@@ -3,7 +3,6 @@
 import math
 
 import pytest
-from scipy.optimize import brentq
 
 import helpers
 from lotkacenter import (
@@ -21,6 +20,7 @@ from lotkacenter import (
     invariance_residual,
 )
 from lotkacenter.conserved import TermKind
+from lotkacenter.dynamics import brentq
 
 TABLE_ROWS = (CenterCase.I, CenterCase.II, CenterCase.III, CenterCase.IV)
 
@@ -190,7 +190,7 @@ def test_orbit_follows_level_set():
             flo, fhi = offset(x, lo), offset(x, hi)
         if flo * fhi > 0.0:
             continue
-        y_level = brentq(lambda yy: offset(x, yy), lo, hi, xtol=1e-13)
+        y_level, _ = brentq(lambda yy: offset(x, yy), lo, hi, flo, fhi, xtol=1e-13)
         assert abs(y_level - y) <= 1e-5, f"at x={x}"
         checked += 1
     assert checked >= 30

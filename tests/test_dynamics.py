@@ -7,11 +7,13 @@ import pytest
 
 import helpers
 from lotkacenter import (
+    BautinResult,
     CanonicalParams,
     CenterCase,
     CycleStability,
     NoReturn,
     TerminationReason,
+    bautin_scenario,
     build_integral,
     closed_form_focal,
     detect_limit_cycles,
@@ -25,6 +27,8 @@ from lotkacenter import (
     return_map_sign_probe,
     section_displacement,
 )
+from lotkacenter import dynamics
+from lotkacenter.dynamics import brentq
 
 LINEAR_CENTER = CanonicalParams(0.0, 1.0, 1.0, 0.0, 1.0)
 WEAK_FOCUS = CanonicalParams(1.0, 2.0, 1.0, 1.0, 1.0)
@@ -190,3 +194,127 @@ def test_format_cycle_report_text():
     assert "cycles = 1" in text
     assert "Stable" in text
     assert "sign pattern" in text
+
+
+# Roots from scipy.optimize.brentq with the same brackets and tolerances.
+BRENT_CASES = [
+    # (f, lo, hi, tolerances, exact root, scipy root)
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, {}, 2.0945514815423265, "0x1.0c1a4350819e4p+1"),
+    (lambda x: math.cos(x) - x, 0.0, 1.0, {"xtol": 1e-12, "rtol": 8.9e-16},
+     0.7390851332151607, "0x1.7a695dd83ce03p-1"),
+    (lambda x: math.exp(x) - 3.0, 0.0, 2.0, {"xtol": 1e-13}, math.log(3.0), "0x1.193ea7aad030bp+0"),
+    (lambda x: math.tanh(50.0 * (x - 0.1)), -1.0, 2.0, {}, 0.1, "0x1.999999999999ap-4"),
+    (lambda x: math.sin(10.0 * x) + 0.3, 0.2, 0.5, {"xtol": 1e-6},
+     (math.pi + math.asin(0.3)) / 10.0, "0x1.60e64d4a1df2dp-2"),
+    (lambda x: math.atan(x - 0.3) * 1e-9, -2.0, 0.31, {"xtol": 1e-12, "rtol": 8.9e-16},
+     0.3, "0x1.333333333430fp-2"),
+]
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, tols, exact, scipy_hex",
+    BRENT_CASES,
+    ids=["cubic", "cos", "exp", "tanh", "sin", "flat-atan"],
+)
+def test_brentq_roots(f, lo, hi, tols, exact, scipy_hex):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    root, value = brentq(counted, lo, hi, f(lo), f(hi), **tols)
+    xtol = tols.get("xtol", 2e-12)
+    assert abs(root - exact) <= xtol + 1e-15 * abs(exact)
+    assert root.hex() == scipy_hex
+    assert value == f(root)
+    assert calls and lo not in calls and hi not in calls
+
+
+def test_brentq_zero_end_needs_no_evaluation():
+    def never(x):
+        raise AssertionError(f"evaluated at {x}")
+
+    assert brentq(never, 1.0, 2.0, 0.0, 3.0) == (1.0, 0.0)
+    assert brentq(never, 1.0, 2.0, -3.0, 0.0) == (2.0, 0.0)
+
+
+def test_brentq_rejects_bad_brackets():
+    f = lambda x: x - 0.5  # noqa: E731
+    with pytest.raises(ValueError):
+        brentq(f, 1.0, 2.0, 0.5, 1.5)
+    with pytest.raises(ValueError):
+        brentq(f, 0.0, 1.0, math.nan, 0.5)
+    with pytest.raises(ValueError):
+        brentq(lambda x: math.nan, 0.0, 1.0, -0.5, 0.5)
+    # scipy.optimize.brentq also gives up on this triple root
+    with pytest.raises(RuntimeError):
+        brentq(lambda x: (x - 0.7) ** 3, 0.0, 1.3, (-0.7) ** 3, 0.6**3, xtol=1e-12, rtol=8.9e-16)
+
+
+def _count_maps(monkeypatch) -> list:
+    """Record (params, x0, rel_tol) of every return map from now on."""
+    calls = []
+    inner = dynamics.poincare_return
+
+    def counted(c, x0, rel_tol=1e-9, **kwargs):
+        calls.append((c, x0, rel_tol))
+        return inner(c, x0, rel_tol, **kwargs)
+
+    monkeypatch.setattr(dynamics, "poincare_return", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def bautin_base1() -> tuple[BautinResult, int]:
+    """bautin_scenario(-2, -3, 0.02) and the return maps it made."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_maps(mp)
+        result = bautin_scenario(-2.0, -3.0, 0.02)
+    return result, len(calls)
+
+
+def _cycle_hex(report) -> list[tuple[str, str, str]]:
+    return [(c.radius.hex(), c.displacement.hex(), c.stability.value) for c in report.cycles]
+
+
+def test_bautin_golden_bits(bautin_base1):
+    # float.hex captured before the cycle search was reworked; any moved bit fails
+    result, _ = bautin_base1
+    assert result.stage2_eps.hex() == "0x1.3b645a1cac084p-12"
+    assert _cycle_hex(result.stage1_report) == [
+        ("0x1.52cc9188020fcp+0", "-0x1.0000000000000p-51", "Stable"),
+    ]
+    assert _cycle_hex(result.stage2_report) == [
+        ("0x1.34d085490c396p-2", "-0x1.0000000000000p-51", "Unstable"),
+        ("0x1.22094a53846c2p+0", "0x1.4000000000000p-48", "Stable"),
+    ]
+
+
+def test_bautin_return_map_budget(bautin_base1):
+    # the eps search reads bracket signs only, and no refinement maps a
+    # value it already has (446 maps before)
+    _, maps = bautin_base1
+    assert maps <= 345
+
+
+def test_single_cycle_golden_bits():
+    rep = detect_limit_cycles(CanonicalParams(0.98, 2.0, 1.0, 1.0, 0.98), 0.2, 1.4, 15)
+    assert _cycle_hex(rep) == [("0x1.e4052af7094a5p-1", "0x1.5800000000000p-46", "Stable")]
+
+
+@pytest.mark.parametrize(
+    "c, radii, kwargs",
+    [
+        (CanonicalParams(0.98, 2.0, 1.0, 1.0, 0.98), (0.2, 1.4, 15), {}),
+        # refinement at the scan tolerance reuses the scan's values
+        (CanonicalParams(0.98, 2.0, 1.0, 1.0, 0.98), (0.2, 1.4, 15), {"refine_rel_tol": 1e-8}),
+        # two cycles in adjacent scan intervals share the middle radius
+        (CanonicalParams(1.02 - 3e-4, -2.0, -3.0, 1.0, 1.02), (0.2, 1.5, 3), {}),
+    ],
+)
+def test_scan_maps_each_point_once(monkeypatch, c, radii, kwargs):
+    calls = _count_maps(monkeypatch)
+    rep = detect_limit_cycles(c, *radii, **kwargs)
+    assert rep.cycles
+    assert len(calls) == len(set(calls))
