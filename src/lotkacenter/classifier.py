@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InternalInconsistency
-from .focal import FocalBranch, FocalValues, closed_form_focal
+from .focal import L2_ZERO_TOL, FocalBranch, FocalValues, closed_form_focal
 from .model import CLOSE_TOL, CanonicalParams, EigenvalueKind, close, jacobian
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "match_table_cases",
     "witness_factor_value",
 ]
-
-MATCH_TOL = CLOSE_TOL
 
 
 class CenterCase(Enum):
@@ -76,52 +74,52 @@ def linear_type(c: CanonicalParams) -> LinearType:
     return LinearType.NODE_OR_SPIRAL
 
 
-def match_table_cases(c: CanonicalParams, *, tol: float = MATCH_TOL) -> frozenset[CenterCase]:
-    """All center families whose equalities hold within ``tol`` and whose
-    strict inequalities hold strictly.  Families overlap, so the result
+def match_table_cases(c: CanonicalParams) -> frozenset[CenterCase]:
+    """All center families whose equalities hold within ``CLOSE_TOL`` and
+    whose strict inequalities hold strictly.  Families overlap, so the result
     may contain several members."""
     a1, b1, a3, b3, K = c.a1, c.b1, c.a3, c.b3, c.K
     out = set()
-    if close(a1, 0.0, tol) and close(b3, 0.0, tol) and a3 * b1 > 0.0:
+    if close(a1, 0.0) and close(b3, 0.0) and a3 * b1 > 0.0:
         out.add(CenterCase.I)
     if (
-        abs(b3) > tol
-        and close(a1, a3 + 1.0, tol)
-        and close(b3, b1 + 1.0, tol)
+        abs(b3) > CLOSE_TOL
+        and close(a1, a3 + 1.0)
+        and close(b3, b1 + 1.0)
         and a1 / b3 > 0.0
-        and close(K, a1 / b3, tol)
+        and close(K, a1 / b3)
         and a1 + b3 < 1.0
     ):
         out.add(CenterCase.II)
     if (
-        close(a3, -1.0, tol)
-        and close(b3, 1.0, tol)
+        close(a3, -1.0)
+        and close(b3, 1.0)
         and a1 > 0.0
-        and close(K, a1, tol)
+        and close(K, a1)
         and a1 + b1 < 0.0
     ):
         out.add(CenterCase.III)
     if (
-        close(a1, 1.0, tol)
-        and close(b1, -1.0, tol)
+        close(a1, 1.0)
+        and close(b1, -1.0)
         and b3 > 0.0
-        and close(K, 1.0 / b3, tol)
+        and close(K, 1.0 / b3)
         and a3 + b3 < 0.0
     ):
         out.add(CenterCase.IV)
     if (
-        close(a1, b3, tol)
-        and close(a3, b1, tol)
-        and close(K, 1.0, tol)
+        close(a1, b3)
+        and close(a3, b1)
+        and close(K, 1.0)
         and abs(a1) < abs(b1)
     ):
         out.add(CenterCase.R1)
     denom = b3 - b1 - 1.0
     if (
         denom > 0.0
-        and close(a1, K * b3, tol)
-        and close(a3, K * b1, tol)
-        and close(K, 1.0 / denom, tol)
+        and close(a1, K * b3)
+        and close(a3, K * b1)
+        and close(K, 1.0 / denom)
         and abs(b3) < abs(b1)
     ):
         out.add(CenterCase.R2)
@@ -154,25 +152,19 @@ def _center_witness(c: CanonicalParams, fv: FocalValues) -> str:
         tokens = [
             t
             for t in ("a3 = -1", "b1 = -1", "a3 = b1")
-            if abs(WITNESS_FACTORS[t](c)) <= MATCH_TOL * (1.0 + abs(c.a3) + abs(c.b1))
+            if abs(WITNESS_FACTORS[t](c)) <= CLOSE_TOL * (1.0 + abs(c.a3) + abs(c.b1))
         ]
         return "b3 = 1, K = 1; " + "; ".join(tokens) if tokens else "b3 = 1, K = 1"
     scale = 1.0 + abs(c.a3) + abs(c.b3) * c.K + c.K
     tokens = [
         t
         for t in ("1+a3-b3*K = 0", "1-b3*K = 0", "1-K = 0", "1+a3+K-b3*K = 0")
-        if abs(WITNESS_FACTORS[t](c)) <= MATCH_TOL * scale
+        if abs(WITNESS_FACTORS[t](c)) <= CLOSE_TOL * scale
     ]
     return "; ".join(tokens) if tokens else "no quartic factor vanished"
 
 
-def classify(
-    c: CanonicalParams,
-    *,
-    l1_zero_tol: float = 1e-10,
-    l2_zero_tol: float = 1e-10,
-    match_tol: float = MATCH_TOL,
-) -> CenterClassification:
+def classify(c: CanonicalParams) -> CenterClassification:
     """Full verdict for one parameter set.
 
     Degenerate or non-elliptic linearizations short-circuit; otherwise
@@ -196,13 +188,13 @@ def classify(
             focal=None,
         )
 
-    fv = closed_form_focal(c, l1_zero_tol=l1_zero_tol)
+    fv = closed_form_focal(c)
     if fv.L2 is None:
         verdict = Verdict.FOCUS_STABLE if fv.L1 < 0.0 else Verdict.FOCUS_UNSTABLE
         return CenterClassification(
             verdict=verdict, cases=frozenset(), witness="L1 != 0", focal=fv
         )
-    if abs(fv.L2) > l2_zero_tol:
+    if abs(fv.L2) > L2_ZERO_TOL:
         verdict = Verdict.FOCUS_STABLE if fv.L2 < 0.0 else Verdict.FOCUS_UNSTABLE
         if fv.branch is FocalBranch.CASE_C2:
             witness = "b3 = 1, K = 1: none of the factors a3, 1+a3, 1+b1, a3-b1 vanishes"
@@ -212,7 +204,7 @@ def classify(
             verdict=verdict, cases=frozenset(), witness=witness, focal=fv
         )
 
-    cases = match_table_cases(c, tol=match_tol)
+    cases = match_table_cases(c)
     if not cases:
         raise InternalInconsistency(
             f"L1 and L2 vanish for {c} but no center family matches"

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .classifier import MATCH_TOL, CenterCase, Verdict, classification_record, classify
+from .classifier import CenterCase, Verdict, classification_record, classify
 from .conserved import IntegralCase, build_integral, format_integral, invariance_residual
 from .dynamics import (
     STEP_BUDGET_DEFAULT,
@@ -121,6 +121,8 @@ def _params(args: argparse.Namespace) -> CanonicalParams:
 
 
 def _sample_points(n: int, seed: int) -> list[tuple[float, float]]:
+    if n < 1:
+        raise _UsageError(f"--points must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     logs = rng.uniform(math.log(0.25), math.log(4.0), size=(n, 2))
     return [(float(math.exp(u)), float(math.exp(v))) for u, v in logs]
@@ -128,12 +130,7 @@ def _sample_points(n: int, seed: int) -> list[tuple[float, float]]:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     c = _params(args)
-    result = classify(
-        c,
-        l1_zero_tol=args.l1_tol,
-        l2_zero_tol=args.l2_tol,
-        match_tol=args.match_tol,
-    )
+    result = classify(c)
     print(classification_record(result))
     if result.verdict is Verdict.CENTER:
         return EXIT_CENTER
@@ -146,11 +143,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_DEGENERATE
 
 
-def _sweep_node(a1: float, b1: float, a3: float, K: float, match_tol: float) -> dict:
+def _sweep_node(a1: float, b1: float, a3: float, K: float) -> dict:
     b3 = a1 / K
     rec: dict = {"a1": a1, "b1": b1, "a3": a3, "b3": b3}
     try:
-        result = classify(CanonicalParams(a1, b1, a3, b3, K), match_tol=match_tol)
+        result = classify(CanonicalParams(a1, b1, a3, b3, K))
     except (LotkaError, ValueError) as exc:
         rec.update(verdict="Error", cases=[], L1=None, L2=None, error=str(exc))
         return rec
@@ -183,7 +180,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     n = 0
     try:
         for a1, b1, a3 in itertools.product(*grids):
-            rec = _sweep_node(a1, b1, a3, args.K, args.match_tol)
+            rec = _sweep_node(a1, b1, a3, args.K)
             out.write(json.dumps(rec, allow_nan=False) + "\n")
             n += 1
     finally:
@@ -239,8 +236,9 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
 
 def _cmd_verify_integral(args: argparse.Namespace) -> int:
     c = _params(args)
+    pts = _sample_points(args.points, args.seed)
     fi = build_integral(_CASE_BY_NAME[args.case], c)
-    residual = invariance_residual(fi, c, _sample_points(args.points, args.seed))
+    residual = invariance_residual(fi, c, pts)
     print(format_integral(fi))
     print(f"max scaled gradient residual over {args.points} points = {residual:.3e}")
     ok = residual <= args.tol
@@ -250,8 +248,9 @@ def _cmd_verify_integral(args: argparse.Namespace) -> int:
 
 def _cmd_verify_reversible(args: argparse.Namespace) -> int:
     c = _params(args)
+    pts = _sample_points(args.points, args.seed)
     residual_fn = r1_residual if args.family == "r1" else r2_residual
-    residual = residual_fn(c, _sample_points(args.points, args.seed))
+    residual = residual_fn(c, pts)
     print(f"max scaled {args.family} residual over {args.points} points = {residual:.3e}")
     ok = residual <= args.tol
     print("PASS" if ok else f"FAIL (tolerance {args.tol:g})")
@@ -300,9 +299,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="verdict, matched center families, focal values")
     _add_param_flags(p)
-    p.add_argument("--l1-tol", type=float, default=1e-10)
-    p.add_argument("--l2-tol", type=float, default=1e-10)
-    p.add_argument("--match-tol", type=float, default=MATCH_TOL)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser(
@@ -316,7 +312,6 @@ def build_parser() -> _Parser:
     p.add_argument("--a1-steps", type=int, default=50)
     p.add_argument("--b1-steps", type=int, default=50)
     p.add_argument("--a3-steps", type=int, default=50)
-    p.add_argument("--match-tol", type=float, default=MATCH_TOL)
     p.add_argument("--out", default="-", help="output path for JSON lines, - for stdout")
     p.set_defaults(func=_cmd_sweep)
 

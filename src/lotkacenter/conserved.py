@@ -138,6 +138,10 @@ def _in_r_intersection(c: CanonicalParams) -> bool:
     )
 
 
+#: requests that resolve to the shared subfamily when ``c`` lies in it
+_R_CASES = (CenterCase.R1, CenterCase.R2, IntegralCase.R1_CAP_R2)
+
+
 def build_integral(case: CenterCase | IntegralCase, c: CanonicalParams) -> FirstIntegral:
     """Construct the conserved quantity for ``c`` in the given family.
 
@@ -147,28 +151,21 @@ def build_integral(case: CenterCase | IntegralCase, c: CanonicalParams) -> First
     """
     a1, b1, a3, b3, K = c.a1, c.b1, c.a3, c.b3, c.K
 
-    if case in (CenterCase.R1, CenterCase.R2):
-        if _in_r_intersection(c):
-            case = IntegralCase.R1_CAP_R2
-        elif case in match_table_cases(c):
-            raise NoKnownIntegral(
-                f"no closed-form integral recorded for family {case.value} "
-                "outside the shared subfamily a1 = b3 = b1 + 2, a3 = b1, K = 1"
-            )
-        else:
-            raise CaseMismatch(f"{c} does not satisfy the {case.value} constraints")
-    elif isinstance(case, CenterCase):
-        if case not in match_table_cases(c):
-            raise CaseMismatch(f"{c} does not satisfy the case {case.value} constraints")
-        case = IntegralCase(case.value)
+    if case in _R_CASES and _in_r_intersection(c):
+        case = IntegralCase.R1_CAP_R2
     elif case is IntegralCase.R1_CAP_R2:
-        if not _in_r_intersection(c):
-            raise CaseMismatch(
-                f"{c} is not in the shared subfamily a1 = b3 = b1 + 2, a3 = b1, K = 1"
-            )
-    elif isinstance(case, IntegralCase):
-        if IntegralCase(case.value).value not in {m.value for m in match_table_cases(c)}:
-            raise CaseMismatch(f"{c} does not satisfy the case {case.value} constraints")
+        raise CaseMismatch(
+            f"{c} is not in the shared subfamily a1 = b3 = b1 + 2, a3 = b1, K = 1"
+        )
+    elif CenterCase(case.value) not in match_table_cases(c):
+        raise CaseMismatch(f"{c} does not satisfy the case {case.value} constraints")
+    elif case in _R_CASES:
+        raise NoKnownIntegral(
+            f"no closed-form integral recorded for family {case.value} "
+            "outside the shared subfamily a1 = b3 = b1 + 2, a3 = b1, K = 1"
+        )
+    else:
+        case = IntegralCase(case.value)
 
     if case is IntegralCase.I:
         terms = (

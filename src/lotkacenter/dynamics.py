@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BadBase, IntegrationFailure, NoReturn, PreconditionViolated
 from .focal import FocalValues, closed_form_focal
-from .model import CanonicalParams, Point, jacobian
+from .model import CanonicalParams, Point, close, jacobian
 
 __all__ = [
     "BautinResult",
@@ -74,6 +74,15 @@ _CAP_STATIC = 0.08
 # every bounded orbit in scope but stops stiff boundary creep early
 _ESCAPE_LOW = 1e-4
 _ESCAPE_HIGH = 1e4
+
+#: scan sign changes with both displacements under this are integration noise
+_NOISE_FLOOR = 1e-7
+#: first trace perturbation the Bautin eps search tries
+_EPS_SEED = 5e-4
+#: the sign probe's return-map tolerance, and the displacement under
+#: which it reports sign 0
+_PROBE_REL_TOL = 1e-10
+_PROBE_THRESHOLD = 1e-9
 
 
 class TerminationReason(Enum):
@@ -290,8 +299,6 @@ def _drive(
     step_budget: int = STEP_BUDGET_DEFAULT,
     section: _Section | None = None,
     record: bool = False,
-    low: float = _ESCAPE_LOW,
-    high: float = _ESCAPE_HIGH,
 ):
     """Shared stepping loop; ``t_char`` is ``_char_period(c)``.
 
@@ -303,6 +310,7 @@ def _drive(
         raise ValueError(f"rel_tol must lie in [1e-13, 1e-3], got {rel_tol}")
     step = _dp54_step(c)
     sqrt = math.sqrt
+    low, high = _ESCAPE_LOW, _ESCAPE_HIGH
     atol = 1e-3 * rel_tol
     h_cap = _step_cap(t_char, rel_tol)
     h_min = 1e-14 * t_char
@@ -485,8 +493,7 @@ def _section_for(
     c: CanonicalParams, radius: float, t_char: float
 ) -> tuple[_Section, float, float]:
     """Choose the transversal section and start point for a radius > 0."""
-    use_x_section = abs(c.a3) <= 1e-9 * (1.0 + abs(c.a3))
-    if use_x_section:
+    if close(c.a3, 0.0):
         x0, y0 = 1.0, 1.0 + radius
         axis = 0
     else:
@@ -571,20 +578,14 @@ class SignProbe:
     threshold: float
 
 
-def return_map_sign_probe(
-    c: CanonicalParams,
-    radius: float,
-    *,
-    rel_tol: float = 1e-10,
-    threshold: float = 1e-9,
-) -> SignProbe:
+def return_map_sign_probe(c: CanonicalParams, radius: float) -> SignProbe:
     """Integrate one return at ``radius`` and ``radius/2`` and report the
     displacement sign, 0 if below the noise threshold."""
     if not 0.0 < radius <= 0.2:
         raise ValueError(f"radius must lie in (0, 0.2], got {radius}")
-    d_full = section_displacement(c, radius, rel_tol=rel_tol)
-    d_half = section_displacement(c, radius / 2.0, rel_tol=rel_tol)
-    if abs(d_full) <= threshold and abs(d_half) <= threshold:
+    d_full = section_displacement(c, radius, rel_tol=_PROBE_REL_TOL)
+    d_half = section_displacement(c, radius / 2.0, rel_tol=_PROBE_REL_TOL)
+    if abs(d_full) <= _PROBE_THRESHOLD and abs(d_half) <= _PROBE_THRESHOLD:
         sign = 0
     else:
         lead = d_full if abs(d_full) >= abs(d_half) else d_half
@@ -593,7 +594,7 @@ def return_map_sign_probe(
         sign=sign,
         displacement=d_full,
         displacement_half=d_half,
-        threshold=threshold,
+        threshold=_PROBE_THRESHOLD,
     )
 
 
@@ -673,10 +674,9 @@ def _brackets(
     disp: list[float],
     scan_rel_tol: float,
     rel_tol: float,
-    noise_floor: float,
 ):
     """Yield ``(lo, hi, f_lo, f_hi)`` for each sign change of the scan
-    that clears the noise floor and that the displacement at ``rel_tol``
+    that clears ``_NOISE_FLOOR`` and that the displacement at ``rel_tol``
     confirms; each radius is mapped at most once."""
     known = dict(zip(radii, disp)) if rel_tol == scan_rel_tol else {}
 
@@ -692,7 +692,7 @@ def _brackets(
             continue
         if d0 == 0.0 or (d0 > 0.0) == (d1 > 0.0):
             continue
-        if max(abs(d0), abs(d1)) <= noise_floor:
+        if max(abs(d0), abs(d1)) <= _NOISE_FLOOR:
             continue
         lo, hi = radii[i], radii[i + 1]
         f_lo, f_hi = at(lo), at(hi)
@@ -718,13 +718,11 @@ def detect_limit_cycles(
     *,
     rel_tol: float = 1e-8,
     refine_rel_tol: float = 1e-10,
-    noise_floor: float = 1e-7,
-    target_residual: float = 1e-10,
 ) -> LimitCycleReport:
     """Scan the displacement over log-spaced radii and refine each sign
     change to a periodic orbit.
 
-    Sign changes whose endpoints both sit under ``noise_floor`` are
+    Sign changes whose endpoints both sit under ``_NOISE_FLOOR`` are
     treated as integration noise (an exact center wobbles at the drift
     level).  Radii that fail to return contribute NaN and break the scan
     into independently searched segments.
@@ -737,7 +735,7 @@ def detect_limit_cycles(
     disp = _scan(c, radii, rel_tol)
 
     cycles: list[CycleRecord] = []
-    for lo, hi, f_lo, f_hi in _brackets(c, radii, disp, rel_tol, refine_rel_tol, noise_floor):
+    for lo, hi, f_lo, f_hi in _brackets(c, radii, disp, rel_tol, refine_rel_tol):
         root, d_root = brentq(
             lambda r: section_displacement(c, r, refine_rel_tol),
             lo,
@@ -775,8 +773,6 @@ def bautin_scenario(
     n_scan: int = 30,
     rel_tol: float = 1e-8,
     refine_rel_tol: float = 1e-10,
-    noise_floor: float = 1e-7,
-    eps_seed: float = 5e-4,
 ) -> BautinResult:
     """Two-stage construction of coexisting small cycles.
 
@@ -807,7 +803,6 @@ def bautin_scenario(
         n_scan,
         rel_tol=rel_tol,
         refine_rel_tol=tol,
-        noise_floor=noise_floor,
     )
     stage1_report = detect(stage1, refine_rel_tol)
 
@@ -822,19 +817,19 @@ def bautin_scenario(
         # bracket already rules it out
         c = with_eps(eps)
         disp = _scan(c, radii, rel_tol)
-        brackets = _brackets(c, radii, disp, rel_tol, probe_tol, noise_floor)
+        brackets = _brackets(c, radii, disp, rel_tol, probe_tol)
         shape = tuple(_stability(f_lo) for _, _, f_lo, _ in islice(brackets, 3))
         return shape == _TWO_CYCLE_SHAPE
 
     if delta_a1 is None:
-        eps = eps_seed
+        eps = _EPS_SEED
         for _ in range(7):
             if coarse_two(eps):
                 break
             eps /= 3.0
         else:
             raise BadBase(
-                f"no trace perturbation near {eps_seed} produced two cycles "
+                f"no trace perturbation near {_EPS_SEED} produced two cycles "
                 f"for base (b1={b1}, a3={a3})"
             )
         # grow toward the fold where the two cycles merge, then back off

@@ -31,7 +31,12 @@ __all__ = [
     "taylor_expand",
 ]
 
+#: L1 counts as zero within this multiple of the magnitude of its terms
 L1_ZERO_TOL = 1e-10
+#: L2 counts as zero below this absolute value
+L2_ZERO_TOL = 1e-10
+#: numeric Lyapunov quantities below this absolute value count as vanished
+_VANISH_TOL = 1e-8
 
 
 class FocalBranch(Enum):
@@ -59,9 +64,7 @@ class FocalValues:
     branch: FocalBranch
 
 
-def closed_form_focal(
-    c: CanonicalParams, *, l1_zero_tol: float = L1_ZERO_TOL
-) -> FocalValues:
+def closed_form_focal(c: CanonicalParams) -> FocalValues:
     """Exact first and second focal values for a trace-free elliptic point.
 
     Requires trace = 0 (within ``trace_tolerance``) and det > 0; both are
@@ -93,7 +96,7 @@ def closed_form_focal(
         * (abs(b1) * (1.0 + abs(a3) * (1.0 + K) + abs(b3) * K) + abs(a3) * (1.0 + abs(b3)) * K)
         / (root * abs(b1))
     )
-    if abs(l1) > l1_zero_tol * max(1.0, l1_scale):
+    if abs(l1) > L1_ZERO_TOL * max(1.0, l1_scale):
         return FocalValues(L1=l1, L2=None, d_value=d_value, branch=FocalBranch.NOT_APPLICABLE)
 
     if close(b3, 0.0):
@@ -219,11 +222,14 @@ def _poly_mul(A: np.ndarray, B: np.ndarray, cap: int) -> np.ndarray:
     return out
 
 
-def _poly_pow(P: np.ndarray, k: int, cap: int) -> np.ndarray:
-    out = np.zeros((cap + 1, cap + 1), dtype=P.dtype)
-    out[0, 0] = 1.0
-    for _ in range(k):
-        out = _poly_mul(out, P, cap)
+def _poly_powers(P: np.ndarray, cap: int) -> list[np.ndarray]:
+    """P**0 .. P**cap, truncated to total degree <= cap; each power is
+    the one before times P."""
+    one = np.zeros((cap + 1, cap + 1), dtype=P.dtype)
+    one[0, 0] = 1.0
+    out = [one]
+    for _ in range(cap):
+        out.append(_poly_mul(out[-1], P, cap))
     return out
 
 
@@ -240,27 +246,21 @@ def _complexified_field(tf: TaylorField, cap: int) -> tuple[float, np.ndarray]:
     b = float(tf.fx[0, 1])
     cc = float(tf.fy[1, 0])
     d = float(tf.fy[0, 1])
-    tr = a + d
     det = a * d - b * cc
     if det <= 0.0:
         raise PreconditionViolated(f"determinant {det} is not positive")
-    if abs(tr) > 1e-9 * (1.0 + abs(a) + abs(d)):
-        raise PreconditionViolated(f"trace {tr} is not zero within tolerance")
+    if not close(a, -d):
+        raise PreconditionViolated(f"trace {a + d} is not zero within tolerance")
     if b == 0.0:
         raise PreconditionViolated("fx[0,1] = 0 makes the eigenbasis singular")
     omega = math.sqrt(det)
 
     # u, v as polynomials in (p, q): u = q, v = (omega*p - a*q)/b
-    U = np.zeros((cap + 1, cap + 1))
-    U[0, 1] = 1.0
     V = np.zeros((cap + 1, cap + 1))
     V[1, 0] = omega / b
     V[0, 1] = -a / b
 
-    v_pows = [np.zeros((cap + 1, cap + 1)) for _ in range(cap + 1)]
-    v_pows[0][0, 0] = 1.0
-    for j in range(1, cap + 1):
-        v_pows[j] = _poly_mul(v_pows[j - 1], V, cap)
+    v_pows = _poly_powers(V, cap)
 
     def substitute(coeffs: np.ndarray) -> np.ndarray:
         # u**i is a shift by i in the q index
@@ -289,8 +289,8 @@ def _complexified_field(tf: TaylorField, cap: int) -> tuple[float, np.ndarray]:
     Zq = np.zeros((cap + 1, cap + 1), dtype=complex)
     Zq[1, 0] = -0.5j
     Zq[0, 1] = 0.5j
-    zp_pows = [_poly_pow(Zp, m, cap) for m in range(cap + 1)]
-    zq_pows = [_poly_pow(Zq, n, cap) for n in range(cap + 1)]
+    zp_pows = _poly_powers(Zp, cap)
+    zq_pows = _poly_powers(Zq, cap)
 
     W = P_dot + 1j * Q_dot
     H = np.zeros((cap + 1, cap + 1), dtype=complex)
@@ -308,9 +308,7 @@ def _complexified_field(tf: TaylorField, cap: int) -> tuple[float, np.ndarray]:
     return omega, H
 
 
-def lyapunov_numeric(
-    tf: TaylorField, order: int, *, vanish_tol: float = 1e-8
-) -> LyapunovQuantities:
+def lyapunov_numeric(tf: TaylorField, order: int) -> LyapunovQuantities:
     """Numerical Lyapunov quantities from the Taylor field alone.
 
     Builds V = z*conj(z) + higher terms so that dV/dt along the flow is
@@ -356,6 +354,6 @@ def lyapunov_numeric(
 
     ell = [eta / omega for eta in etas[:order]]
     for k in range(1, order):
-        if any(abs(e) > vanish_tol for e in ell[:k] if math.isfinite(e)):
+        if any(abs(e) > _VANISH_TOL for e in ell[:k] if math.isfinite(e)):
             ell[k] = math.nan
     return LyapunovQuantities(ell=tuple(ell), omega=omega)

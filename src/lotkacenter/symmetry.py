@@ -72,10 +72,10 @@ class TransformedField:
     source: CanonicalParams
 
     def __post_init__(self) -> None:
-        gap = abs(self.e_u2 - self.e_v2)
-        if gap > 1e-12 * (1.0 + abs(self.e_u2) + abs(self.e_v2)):
+        if not close(self.e_u2, self.e_v2, 1e-12):
             raise DegenerateK(
-                f"exponent identity 1 - 1/K = 2 + b1 - b3 violated by {gap}"
+                "exponent identity 1 - 1/K = 2 + b1 - b3 violated by "
+                f"{abs(self.e_u2 - self.e_v2)}"
             )
 
 

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +80,39 @@ def test_usage_errors_exit_64(capsys):
     assert run_cli([]) == 64
     assert run_cli(["sweep", "--K", "1", "--a1-steps", "1"]) == 64
     assert run_cli(["sweep", "--K", "1", "--a1-range", "2", "1"]) == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--a1", "2", "--b1", "-1", "--a3", "-3", "--b3", "1", "--K", "2", "--l1-tol", "1e3"],
+        ["classify", *CANON, "--l2-tol", "1e-10"],
+        ["classify", *CANON, "--match-tol", "0"],
+        ["sweep", "--K", "1", "--a1-steps", "2", "--b1-steps", "2", "--a3-steps", "2", "--match-tol", "0"],
+    ],
+    ids=["classify-l1-tol", "classify-l2-tol", "classify-match-tol", "sweep-match-tol"],
+)
+def test_tolerance_flags_are_gone(capsys, argv):
+    # the thresholds are fixed module constants; the CLI sets none of them
+    assert run_cli(argv) == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-reversible", "--family", "r1", "--a1", "1", "--b1", "2", "--a3", "1", "--b3", "1", "--K", "1"],
+        ["verify-integral", "--case", "i", *CANON],
+    ],
+    ids=["reversible", "integral"],
+)
+def test_verify_needs_at_least_one_point(capsys, argv, points):
+    # a check over no points would print PASS without testing anything
+    assert run_cli([*argv, "--points", points]) == 64
+    captured = capsys.readouterr()
+    assert "--points must be at least 1" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_numeric_errors_exit_65(capsys):
@@ -295,3 +330,24 @@ def test_cli_import_leaves_scipy_unloaded():
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def _readme_invocations():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.sub(r"\\\n\s*", " ", text)  # join backslash-continued lines
+    return [
+        shlex.split(line.strip())[1:]
+        for line in text.splitlines()
+        if line.strip().startswith("lotkacenter ")
+    ]
+
+
+def test_readme_invocations_run(capsys):
+    # every documented command parses and reaches a verdict or a verification
+    invocations = _readme_invocations()
+    assert len(invocations) >= 9
+    # the raw-form example continues over two lines
+    assert any("--k1" in argv and "--beta3" in argv for argv in invocations)
+    for argv in invocations:
+        assert run_cli(argv) in {0, 1, 2}, argv
+    capsys.readouterr()

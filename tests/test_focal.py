@@ -190,3 +190,67 @@ def test_focal_record_text():
     assert "L1" in text
     assert "L2" in text
     assert "CaseC2" in text
+
+
+#: float.hex of (ell..., omega) from lyapunov_numeric at orders 1, 2 and 4
+_LYAPUNOV_GOLDEN = [
+    (
+        # first-order focus (branch NotApplicable): later entries are NaN
+        CanonicalParams(2.0, -1.0, -3.0, 1.0, 2.0),
+        FocalBranch.NOT_APPLICABLE,
+        {
+            1: ("0x1.6a09e667f3bcep-2", "0x1.6a09e667f3bcdp+0"),
+            2: ("0x1.6a09e667f3bcep-2", "nan", "0x1.6a09e667f3bcdp+0"),
+            4: ("0x1.6a09e667f3bcep-2", "nan", "nan", "nan", "0x1.6a09e667f3bcdp+0"),
+        },
+    ),
+    (
+        # second-order focus on the generic branch
+        CanonicalParams(
+            -0.39964609077107943, 1.1484030823985125, 3.356512758511143,
+            -0.6993946606186707, 0.5714171315199352,
+        ),
+        FocalBranch.CASE_B_D_NONZERO,
+        {
+            1: ("0x1.47ad2fb203ea8p-53", "0x1.6de6481366f11p+0"),
+            2: ("0x1.47ad2fb203ea8p-53", "-0x1.61ebbe6cd8ab7p-6", "0x1.6de6481366f11p+0"),
+            4: (
+                "0x1.47ad2fb203ea8p-53", "-0x1.61ebbe6cd8ab7p-6", "nan", "nan",
+                "0x1.6de6481366f11p+0",
+            ),
+        },
+    ),
+    (
+        # second-order focus on the b3 = 1, K = 1 branch
+        CanonicalParams(1.0, 2.0, 1.0, 1.0, 1.0),
+        FocalBranch.CASE_C2,
+        {
+            1: ("0x0.0p+0", "0x1.0000000000000p+0"),
+            2: ("0x0.0p+0", "-0x1.5555555555550p-7", "0x1.0000000000000p+0"),
+            4: ("0x0.0p+0", "-0x1.5555555555550p-7", "nan", "nan", "0x1.0000000000000p+0"),
+        },
+    ),
+    (
+        # an R1 center: all four quantities are rounding residue
+        CanonicalParams(0.5, 2.0, 2.0, 0.5, 1.0),
+        FocalBranch.CASE_B_D_NONZERO,
+        {
+            1: ("-0x1.0624598470375p-55", "0x1.efbdeb14f4edap+0"),
+            2: ("-0x1.0624598470375p-55", "-0x1.3bc4b573ed939p-56", "0x1.efbdeb14f4edap+0"),
+            4: (
+                "-0x1.0624598470375p-55", "-0x1.3bc4b573ed939p-56",
+                "-0x1.b2e635a9ef054p-58", "0x1.32a1e8ea5c3a2p-56", "0x1.efbdeb14f4edap+0",
+            ),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "c, branch, golden", _LYAPUNOV_GOLDEN, ids=["focus1", "generic", "unit", "center"]
+)
+def test_lyapunov_numeric_golden_bits(c, branch, golden):
+    assert closed_form_focal(c).branch is branch
+    for order, bits in golden.items():
+        q = lyapunov_numeric(taylor_expand(c, 2 * order + 1), order)
+        assert tuple(float(v).hex() for v in (*q.ell, q.omega)) == bits, f"order {order}"
