@@ -15,13 +15,10 @@ verdict and cross-check each other.
 from .classifier import (
     CenterCase,
     CenterClassification,
-    LinearType,
     Verdict,
     classification_record,
     classify,
-    linear_type,
     match_table_cases,
-    witness_factor_value,
 )
 from .conserved import (
     FirstIntegral,
@@ -43,7 +40,6 @@ from .dynamics import (
     Trajectory,
     bautin_scenario,
     detect_limit_cycles,
-    displacement_profile,
     format_cycle_report,
     format_return_record,
     format_trajectory,
@@ -81,15 +77,10 @@ from .model import (
     CanonicalParams,
     EigenvalueKind,
     JacobianSummary,
-    OffsetParams,
     Point,
     RawLotkaParams,
     canonicalize,
-    from_offset_form,
-    from_record,
     jacobian,
-    to_offset_form,
-    to_record,
     vector_field,
 )
 from .symmetry import (
@@ -124,14 +115,12 @@ __all__ = [
     "InternalInconsistency",
     "JacobianSummary",
     "LimitCycleReport",
-    "LinearType",
     "LotkaError",
     "LyapunovQuantities",
     "NoKnownIntegral",
     "NonIsolatedEquilibrium",
     "NoPositiveEquilibrium",
     "NoReturn",
-    "OffsetParams",
     "Point",
     "PreconditionViolated",
     "RawLotkaParams",
@@ -149,20 +138,16 @@ __all__ = [
     "classify",
     "closed_form_focal",
     "detect_limit_cycles",
-    "displacement_profile",
     "evaluate",
     "focal_record",
     "format_cycle_report",
     "format_integral",
     "format_return_record",
     "format_trajectory",
-    "from_offset_form",
-    "from_record",
     "gradient",
     "integrate",
     "invariance_residual",
     "jacobian",
-    "linear_type",
     "lyapunov_numeric",
     "match_table_cases",
     "poincare_return",
@@ -173,9 +158,6 @@ __all__ = [
     "return_map_sign_probe",
     "section_displacement",
     "taylor_expand",
-    "to_offset_form",
-    "to_record",
     "transformed_field_value",
     "vector_field",
-    "witness_factor_value",
 ]

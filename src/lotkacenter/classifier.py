@@ -19,13 +19,10 @@ from .model import CLOSE_TOL, CanonicalParams, EigenvalueKind, close, jacobian
 __all__ = [
     "CenterCase",
     "CenterClassification",
-    "LinearType",
     "Verdict",
     "classify",
     "classification_record",
-    "linear_type",
     "match_table_cases",
-    "witness_factor_value",
 ]
 
 
@@ -38,18 +35,10 @@ class CenterCase(Enum):
     R2 = "R2"
 
 
-class LinearType(Enum):
-    ELLIPTIC_CANDIDATE = "EllipticCandidate"
-    SADDLE = "Saddle"
-    NODE_OR_SPIRAL = "NodeOrSpiral"
-    DEGENERATE = "Degenerate"
-
-
 class Verdict(Enum):
     CENTER = "Center"
     FOCUS_STABLE = "FocusStable"
     FOCUS_UNSTABLE = "FocusUnstable"
-    WEAK_FOCUS_ORDER2_PLUS = "WeakFocusOrder2Plus"
     NOT_ELLIPTIC = "NotElliptic"
     DEGENERATE_DET_ZERO = "DegenerateDetZero"
 
@@ -60,18 +49,6 @@ class CenterClassification:
     cases: frozenset[CenterCase]
     witness: str
     focal: FocalValues | None
-
-
-def linear_type(c: CanonicalParams) -> LinearType:
-    summary = jacobian(c)
-    kind = summary.eigenvalue_kind
-    if kind is EigenvalueKind.ZERO_EIGENVALUE:
-        return LinearType.DEGENERATE
-    if kind is EigenvalueKind.PURELY_IMAGINARY:
-        return LinearType.ELLIPTIC_CANDIDATE
-    if summary.determinant < 0.0:
-        return LinearType.SADDLE
-    return LinearType.NODE_OR_SPIRAL
 
 
 def match_table_cases(c: CanonicalParams) -> frozenset[CenterCase]:
@@ -137,10 +114,6 @@ WITNESS_FACTORS = {
     "b1 = -1": lambda c: c.b1 + 1.0,
     "a3 = b1": lambda c: c.a3 - c.b1,
 }
-
-
-def witness_factor_value(c: CanonicalParams, token: str) -> float:
-    return WITNESS_FACTORS[token](c)
 
 
 def _center_witness(c: CanonicalParams, fv: FocalValues) -> str:

@@ -128,17 +128,20 @@ def _sample_points(n: int, seed: int) -> list[tuple[float, float]]:
     return [(float(math.exp(u)), float(math.exp(v))) for u, v in logs]
 
 
+def _open_out(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot open --out {path}: {exc.strerror}") from exc
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     c = _params(args)
     result = classify(c)
     print(classification_record(result))
     if result.verdict is Verdict.CENTER:
         return EXIT_CENTER
-    if result.verdict in (
-        Verdict.FOCUS_STABLE,
-        Verdict.FOCUS_UNSTABLE,
-        Verdict.WEAK_FOCUS_ORDER2_PLUS,
-    ):
+    if result.verdict in (Verdict.FOCUS_STABLE, Verdict.FOCUS_UNSTABLE):
         return EXIT_FOCUS
     return EXIT_DEGENERATE
 
@@ -176,7 +179,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise _UsageError(f"--{name}-range must be a finite increasing pair")
         grids.append([float(v) for v in np.linspace(lo, hi, steps)])
 
-    out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
+    out = sys.stdout if args.out == "-" else _open_out(args.out)
     n = 0
     try:
         for a1, b1, a3 in itertools.product(*grids):
@@ -203,7 +206,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.out == "-":
         print(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_out(args.out) as fh:
             fh.write(text + "\n")
     print(
         f"termination = {tr.termination.value}  accepted = {tr.n_accepted}  "

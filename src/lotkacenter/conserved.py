@@ -62,16 +62,15 @@ class IntegratingFactor:
 
 
 class IntegralCase(Enum):
-    I = "I"
-    II = "II"
-    III = "III"
-    IV = "IV"
+    """The one integral that no ``CenterCase`` names: the shared
+    subfamily of the two reversible families."""
+
     R1_CAP_R2 = "R1capR2"
 
 
 @dataclass(frozen=True)
 class FirstIntegral:
-    case: IntegralCase
+    case: CenterCase | IntegralCase
     terms: tuple[Term, ...]
     factor: IntegratingFactor
     params: CanonicalParams
@@ -157,17 +156,15 @@ def build_integral(case: CenterCase | IntegralCase, c: CanonicalParams) -> First
         raise CaseMismatch(
             f"{c} is not in the shared subfamily a1 = b3 = b1 + 2, a3 = b1, K = 1"
         )
-    elif CenterCase(case.value) not in match_table_cases(c):
+    elif case not in match_table_cases(c):
         raise CaseMismatch(f"{c} does not satisfy the case {case.value} constraints")
     elif case in _R_CASES:
         raise NoKnownIntegral(
             f"no closed-form integral recorded for family {case.value} "
             "outside the shared subfamily a1 = b3 = b1 + 2, a3 = b1, K = 1"
         )
-    else:
-        case = IntegralCase(case.value)
 
-    if case is IntegralCase.I:
+    if case is CenterCase.I:
         terms = (
             Term(1.0, TermKind.POWER_X, x_exp=1.0),
             _power_or_log_x(-1.0, a3 + 1.0),
@@ -175,21 +172,21 @@ def build_integral(case: CenterCase | IntegralCase, c: CanonicalParams) -> First
             _power_or_log_y(-1.0 / K, b1 + 1.0),
         )
         factor = IntegratingFactor(TermKind.MIXED_POWER, 0.0, 0.0)
-    elif case is IntegralCase.II:
+    elif case is CenterCase.II:
         terms = (
             Term(a1, TermKind.POWER_X, x_exp=1.0),
             Term(b3, TermKind.POWER_Y, y_exp=1.0),
             Term(-1.0, TermKind.MIXED_POWER, x_exp=a1, y_exp=b3),
         )
         factor = IntegratingFactor(TermKind.MIXED_POWER, 0.0, 0.0)
-    elif case is IntegralCase.III:
+    elif case is CenterCase.III:
         terms = (
             _power_or_log_x(a1, 1.0 - a1),
             _power_or_log_y(-1.0, b1 + 1.0),
             Term(1.0, TermKind.MIXED_POWER, x_exp=-a1, y_exp=1.0),
         )
         factor = IntegratingFactor(TermKind.MIXED_POWER, -a1, 0.0)
-    elif case is IntegralCase.IV:
+    elif case is CenterCase.IV:
         terms = (
             _power_or_log_x(-1.0, a3 + 1.0),
             _power_or_log_y(b3, 1.0 - b3),

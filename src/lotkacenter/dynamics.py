@@ -45,7 +45,6 @@ __all__ = [
     "Trajectory",
     "bautin_scenario",
     "detect_limit_cycles",
-    "displacement_profile",
     "format_cycle_report",
     "format_return_record",
     "format_trajectory",
@@ -554,13 +553,6 @@ def poincare_return(
 def section_displacement(c: CanonicalParams, radius: float, rel_tol: float = 1e-9) -> float:
     """Displacement of one return, parameterized by radius = coord - 1."""
     return poincare_return(c, 1.0 + radius, rel_tol).displacement
-
-
-def displacement_profile(
-    c: CanonicalParams, radii: list[float], rel_tol: float = 1e-9
-) -> list[tuple[float, float]]:
-    """(radius, displacement) pairs; NoReturn from any radius propagates."""
-    return [(r, section_displacement(c, r, rel_tol)) for r in radii]
 
 
 @dataclass(frozen=True)

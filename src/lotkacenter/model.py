@@ -24,16 +24,11 @@ __all__ = [
     "CanonicalParams",
     "EigenvalueKind",
     "JacobianSummary",
-    "OffsetParams",
     "Point",
     "RawLotkaParams",
     "canonicalize",
     "close",
-    "from_offset_form",
-    "from_record",
     "jacobian",
-    "to_offset_form",
-    "to_record",
     "trace_tolerance",
     "vector_field",
 ]
@@ -120,18 +115,6 @@ class CanonicalParams:
             _require_finite(name, getattr(self, name))
         if self.K <= 0.0:
             raise ValueError(f"K must be positive, got {self.K}")
-
-
-@dataclass(frozen=True)
-class OffsetParams:
-    """Equivalent parameter labels used by an older normal form:
-    p_hat = a1 - a3, q_hat = b3 - b1, p = -a3, q = -b1, C = K."""
-
-    p_hat: float
-    q_hat: float
-    p: float
-    q: float
-    C: float
 
 
 class EigenvalueKind(Enum):
@@ -243,50 +226,3 @@ def canonicalize(raw: RawLotkaParams) -> tuple[CanonicalParams, Point]:
     y_star = math.exp(ly)
     K = (raw.k3 / raw.k2) * (x_star / y_star)
     return CanonicalParams(a1=a1, b1=b1, a3=a3, b3=b3, K=K), Point(x_star, y_star)
-
-
-def to_offset_form(c: CanonicalParams) -> OffsetParams:
-    return OffsetParams(
-        p_hat=c.a1 - c.a3,
-        q_hat=c.b3 - c.b1,
-        p=-c.a3,
-        q=-c.b1,
-        C=c.K,
-    )
-
-
-def from_offset_form(d: OffsetParams) -> CanonicalParams:
-    a3 = -d.p
-    b1 = -d.q
-    return CanonicalParams(
-        a1=d.p_hat + a3,
-        b1=b1,
-        a3=a3,
-        b3=d.q_hat + b1,
-        K=d.C,
-    )
-
-
-_RECORD_KEYS = ("a1", "b1", "a3", "b3", "K")
-
-
-def to_record(c: CanonicalParams) -> str:
-    """Flat key=value text record, round-trip exact."""
-    return "\n".join(f"{k}={getattr(c, k)!r}" for k in _RECORD_KEYS)
-
-
-def from_record(text: str) -> CanonicalParams:
-    values: dict[str, float] = {}
-    for line in text.strip().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in _RECORD_KEYS:
-            raise ValueError(f"unknown key {key!r} in parameter record")
-        values[key] = float(val)
-    missing = [k for k in _RECORD_KEYS if k not in values]
-    if missing:
-        raise ValueError(f"parameter record is missing {missing}")
-    return CanonicalParams(**values)

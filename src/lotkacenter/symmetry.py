@@ -61,7 +61,8 @@ class TransformedField:
 
     with e_u1 = 1 - 1/K + b3, e_u2 = 1 - 1/K, e_v1 = 2 + b1 and
     e_v2 = 2 + b1 - b3.  The identity 1 - 1/K = 2 + b1 - b3 pins the
-    time-scale ratio and makes the field reversible under (u, v) swap.
+    time-scale ratio and makes the field reversible under (u, v) swap;
+    ``r2_transform`` checks it as K = 1/(b3 - b1 - 1).
     """
 
     e_u1: float
@@ -70,13 +71,6 @@ class TransformedField:
     e_v2: float
     b1: float
     source: CanonicalParams
-
-    def __post_init__(self) -> None:
-        if not close(self.e_u2, self.e_v2, 1e-12):
-            raise DegenerateK(
-                "exponent identity 1 - 1/K = 2 + b1 - b3 violated by "
-                f"{abs(self.e_u2 - self.e_v2)}"
-            )
 
 
 def r2_transform(c: CanonicalParams) -> TransformedField:

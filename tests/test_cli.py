@@ -241,8 +241,31 @@ def test_verify_reversible_families(capsys):
     k = repr(1.0 / 3.0)
     r2 = ["verify-reversible", "--family", "r2", *("--a1", k, "--b1", "-3", "--a3", "-1", "--b3", "1", "--K", k)]
     assert run_cli(r2) == 0
+    # classify calls this an R2 center: the check measures it instead of raising
+    k = repr((1.0 / 3.0) * (1.0 + 1e-10))
+    r2_off = ["verify-reversible", "--family", "r2", *("--a1", k, "--b1", "-3", "--a3", "-1", "--b3", "1", "--K", k)]
+    capsys.readouterr()
+    assert run_cli(r2_off) == 1
+    out = capsys.readouterr().out
+    assert "max scaled r2 residual over 1000 points = 4.0" in out
+    assert "FAIL" in out
     bad = ["verify-reversible", "--family", "r1", *("--a1", "1", "--b1", "2", "--a3", "1", "--b3", "1", "--K", "1")]
     assert run_cli(bad) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--K", "1", "--a1-steps", "2", "--b1-steps", "2", "--a3-steps", "2"],
+        ["simulate", *CANON, *("--x0", "1.3", "--y0", "1.0", "--t-max", "0.1")],
+    ],
+)
+def test_unopenable_out_is_a_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    assert run_cli([*argv, "--out", str(target)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot open --out ")
+    assert len(err.splitlines()) == 1
 
 
 def test_bautin_two_cycles(capsys):

@@ -28,7 +28,7 @@ TABLE_ROWS = (CenterCase.I, CenterCase.II, CenterCase.III, CenterCase.IV)
 def test_case_i_polynomial_form():
     c = CanonicalParams(0.0, 1.0, 1.0, 0.0, 1.0)
     fi = build_integral(CenterCase.I, c)
-    assert fi.case is IntegralCase.I
+    assert fi.case is CenterCase.I
     assert evaluate(fi, (1.0, 1.0)) == 1.0
     assert fi.level0 == 1.0
     # V = (x - x^2/2) + (y - y^2/2)

@@ -17,7 +17,6 @@ from lotkacenter import (
     build_integral,
     closed_form_focal,
     detect_limit_cycles,
-    displacement_profile,
     evaluate,
     format_cycle_report,
     format_return_record,
@@ -120,13 +119,6 @@ def test_rel_tol_validation():
         integrate(LINEAR_CENTER, (1.3, 1.0), t_max=1.0, rel_tol=1e-14)
     with pytest.raises(ValueError):
         poincare_return(LINEAR_CENTER, 1.3, rel_tol=0.5)
-
-
-def test_displacement_profile_matches_pointwise_calls():
-    prof = displacement_profile(WEAK_FOCUS, [0.05, 0.1], rel_tol=1e-9)
-    assert [r for r, _ in prof] == [0.05, 0.1]
-    for r, d in prof:
-        assert d == pytest.approx(section_displacement(WEAK_FOCUS, r, rel_tol=1e-9), abs=1e-12)
 
 
 def test_sign_probe_agrees_with_first_focal_value():

@@ -12,15 +12,10 @@ from lotkacenter import (
     EigenvalueKind,
     NonIsolatedEquilibrium,
     NoPositiveEquilibrium,
-    OffsetParams,
     Point,
     RawLotkaParams,
     canonicalize,
-    from_offset_form,
-    from_record,
     jacobian,
-    to_offset_form,
-    to_record,
     vector_field,
 )
 
@@ -168,55 +163,6 @@ def test_canonicalize_zeroes_raw_field():
         assert abs(fy) <= 1e-12 * scale, f"draw {i}"
         assert (c.a1, c.b1, c.a3, c.b3) == raw.exponent_differences()
         assert c.K > 0.0
-
-
-def test_offset_form_examples():
-    d = to_offset_form(CanonicalParams(0.0, 1.0, 1.0, 0.0, 1.0))
-    assert (d.p_hat, d.q_hat, d.p, d.q, d.C) == (-1.0, -1.0, -1.0, -1.0, 1.0)
-    d = to_offset_form(CanonicalParams(0.0, 0.0, 0.0, 0.0, 2.5))
-    assert (d.p_hat, d.q_hat, d.p, d.q, d.C) == (0.0, 0.0, 0.0, 0.0, 2.5)
-
-
-def test_offset_form_classical_correspondence():
-    c = from_offset_form(OffsetParams(1.0, 1.0, 1.0, 1.0, 1.0))
-    assert c == CanonicalParams(0.0, -1.0, -1.0, 0.0, 1.0)
-    assert to_offset_form(c) == OffsetParams(1.0, 1.0, 1.0, 1.0, 1.0)
-
-
-def test_offset_form_round_trip_exact_on_dyadic_grid():
-    # exponents with few fractional bits subtract without rounding
-    rng = np.random.default_rng(31)
-    for i in range(500):
-        vals = rng.integers(-320, 321, 4) / 64.0
-        c = CanonicalParams(*(float(v) for v in vals), float(rng.integers(1, 64)) / 16.0)
-        assert from_offset_form(to_offset_form(c)) == c, f"draw {i}"
-
-
-def test_offset_form_round_trip_continuous_draws():
-    rng = np.random.default_rng(37)
-    for i in range(500):
-        vals = rng.uniform(-5.0, 5.0, 4)
-        c = CanonicalParams(*(float(v) for v in vals), float(np.exp(rng.uniform(-1.5, 1.5))))
-        c2 = from_offset_form(to_offset_form(c))
-        for name in ("a1", "b1", "a3", "b3", "K"):
-            assert getattr(c2, name) == pytest.approx(getattr(c, name), abs=2e-15), f"draw {i}"
-
-
-def test_record_round_trip():
-    rng = np.random.default_rng(41)
-    for _ in range(200):
-        vals = rng.uniform(-8.0, 8.0, 4)
-        c = CanonicalParams(*(float(v) for v in vals), float(np.exp(rng.uniform(-2, 2))))
-        assert from_record(to_record(c)) == c
-    c = CanonicalParams(1 / 3, -3.0, -1.0, 1.0, 1 / 3)
-    assert from_record(to_record(c)) == c
-
-
-def test_record_rejects_malformed_text():
-    with pytest.raises(ValueError):
-        from_record("a1=1.0\nb1=2.0\nbogus=3.0\nb3=0.0\nK=1.0")
-    with pytest.raises(ValueError):
-        from_record("a1=1.0\nb1=2.0")
 
 
 def test_exponent_differences():

@@ -12,6 +12,7 @@ from lotkacenter import (
     DegenerateK,
     DomainError,
     integrate,
+    match_table_cases,
     r1_residual,
     r2_residual,
     r2_transform,
@@ -54,6 +55,19 @@ def test_transform_rejects_degenerate_denominator():
 def test_transform_rejects_other_families():
     with pytest.raises(CaseMismatch):
         r2_transform(CanonicalParams(1.0, -2.0, -3.0, 1.0, 1.0))
+
+
+def test_transform_accepts_every_matched_second_family_point():
+    # K off the exact identity 1 - 1/K = 2 + b1 - b3 by far less than CLOSE_TOL:
+    # the matcher calls these R2, so the transform takes them too
+    pts = helpers.quadrant_points(16, 200)
+    draws = helpers.center_row_draws(602, CenterCase.R2, 20)
+    draws.append(CanonicalParams(1.0 / 3.0, -3.0, -1.0, 1.0, 1.0 / 3.0))
+    for i, c0 in enumerate(draws):
+        for rel in (-1e-10, 1e-10):
+            c = CanonicalParams(c0.a1, c0.b1, c0.a3, c0.b3, c0.K * (1.0 + rel))
+            assert CenterCase.R2 in match_table_cases(c), f"draw {i}"
+            assert r2_residual(c, pts) <= 1e-8, f"draw {i}"
 
 
 def test_transformed_field_rejects_boundary():
