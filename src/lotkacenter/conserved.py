@@ -15,7 +15,7 @@ from enum import Enum
 
 from .classifier import CenterCase, match_table_cases
 from .errors import CaseMismatch, DomainError, NoKnownIntegral
-from .model import CanonicalParams, Point, close, vector_field
+from .model import CanonicalParams, Point, vector_field
 
 __all__ = [
     "FirstIntegral",
@@ -125,19 +125,8 @@ def _power_or_log_y(coeff_over_exp_num: float, exponent: float) -> Term:
     return Term(coeff=coeff_over_exp_num / exponent, kind=TermKind.POWER_Y, y_exp=exponent)
 
 
-def _in_r_intersection(c: CanonicalParams) -> bool:
-    """Shared subfamily of the two reversible families:
-    a1 = b3 = b1 + 2, a3 = b1, K = 1, b1 < -1."""
-    return (
-        close(c.a1, c.b1 + 2.0)
-        and close(c.b3, c.b1 + 2.0)
-        and close(c.a3, c.b1)
-        and close(c.K, 1.0)
-        and c.b1 < -1.0
-    )
-
-
-#: requests that resolve to the shared subfamily when ``c`` lies in it
+#: requests that resolve to the shared subfamily when the matcher lists
+#: both reversible families for ``c``
 _R_CASES = (CenterCase.R1, CenterCase.R2, IntegralCase.R1_CAP_R2)
 
 
@@ -149,14 +138,15 @@ def build_integral(case: CenterCase | IntegralCase, c: CanonicalParams) -> First
     subfamily, where no closed form is on record.
     """
     a1, b1, a3, b3, K = c.a1, c.b1, c.a3, c.b3, c.K
+    matched = match_table_cases(c)
 
-    if case in _R_CASES and _in_r_intersection(c):
+    if case in _R_CASES and {CenterCase.R1, CenterCase.R2} <= matched:
         case = IntegralCase.R1_CAP_R2
     elif case is IntegralCase.R1_CAP_R2:
         raise CaseMismatch(
             f"{c} is not in the shared subfamily a1 = b3 = b1 + 2, a3 = b1, K = 1"
         )
-    elif case not in match_table_cases(c):
+    elif case not in matched:
         raise CaseMismatch(f"{c} does not satisfy the case {case.value} constraints")
     elif case in _R_CASES:
         raise NoKnownIntegral(

@@ -18,7 +18,9 @@ a substep, so the reported crossing lies on the numerical orbit itself.
 
 Cycle search scans the displacement over radii, confirms each sign
 change at the refinement tolerance, and refines the confirmed brackets
-with Brent's method; the Bautin eps search reads only the bracket signs.
+with Brent's method.  The Bautin construction takes its trace
+perturbation from the generalized-Hopf normal form and keeps the
+return-map scan as the certificate of the two-cycle shape.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 
 import numpy as np
 
@@ -76,8 +77,6 @@ _ESCAPE_HIGH = 1e4
 
 #: scan sign changes with both displacements under this are integration noise
 _NOISE_FLOOR = 1e-7
-#: first trace perturbation the Bautin eps search tries
-_EPS_SEED = 5e-4
 #: the sign probe's return-map tolerance, and the displacement under
 #: which it reports sign 0
 _PROBE_REL_TOL = 1e-10
@@ -693,15 +692,6 @@ def _brackets(
         yield lo, hi, f_lo, f_hi
 
 
-def _stability(f_lo: float) -> CycleStability:
-    """Stability of the cycle in a bracket whose inner displacement is ``f_lo``."""
-    return CycleStability.STABLE if f_lo > 0.0 else CycleStability.UNSTABLE
-
-
-def _scan_radii(r_min: float, r_max: float, n_scan: int) -> list[float]:
-    return [float(r) for r in np.geomspace(r_min, r_max, n_scan)]
-
-
 def detect_limit_cycles(
     c: CanonicalParams,
     r_min: float,
@@ -723,7 +713,7 @@ def detect_limit_cycles(
         raise ValueError(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
     if n_scan < 2:
         raise ValueError(f"n_scan must be at least 2, got {n_scan}")
-    radii = _scan_radii(r_min, r_max, n_scan)
+    radii = [float(r) for r in np.geomspace(r_min, r_max, n_scan)]
     disp = _scan(c, radii, rel_tol)
 
     cycles: list[CycleRecord] = []
@@ -737,7 +727,9 @@ def detect_limit_cycles(
             xtol=1e-12,
             rtol=8.9e-16,
         )
-        cycles.append(CycleRecord(radius=root, displacement=d_root, stability=_stability(f_lo)))
+        # orbits just inside a stable cycle move outward
+        stability = CycleStability.STABLE if f_lo > 0.0 else CycleStability.UNSTABLE
+        cycles.append(CycleRecord(radius=root, displacement=d_root, stability=stability))
 
     return LimitCycleReport(
         cycles=tuple(cycles),
@@ -746,12 +738,12 @@ def detect_limit_cycles(
     )
 
 
-#: cycle stabilities, innermost first, of the two-cycle (Bautin) shape
-_TWO_CYCLE_SHAPE = (CycleStability.UNSTABLE, CycleStability.STABLE)
-
-
 def _two_cycle_shape(report: LimitCycleReport) -> bool:
-    return tuple(cyc.stability for cyc in report.cycles) == _TWO_CYCLE_SHAPE
+    """Two cycles, the inner unstable and the outer stable."""
+    return tuple(cyc.stability for cyc in report.cycles) == (
+        CycleStability.UNSTABLE,
+        CycleStability.STABLE,
+    )
 
 
 def bautin_scenario(
@@ -771,8 +763,14 @@ def bautin_scenario(
     Stage one perturbs K away from 1 (keeping a1 = K, b3 = 1, so the
     trace stays zero) to make the first focal value positive over a
     negative second one, which births a stable cycle.  Stage two lowers
-    a1 below K by ``delta_a1`` (bisected automatically when None) so the
-    now-stable equilibrium sheds an additional unstable inner cycle.
+    a1 below K by ``delta_a1`` so the now-stable equilibrium sheds an
+    additional unstable inner cycle.
+
+    When ``delta_a1`` is None, eps is half the normal-form fold
+    omega L1**2 / (4 pi |L2|), read from stage one's frequency and first
+    focal value and the base's second, and shrunk by 0.6 up to five times
+    until the stage-two scan shows the two-cycle shape.  This mode
+    returns that shape or raises BadBase.
     """
     base = CanonicalParams(a1=1.0, b1=b1, a3=a3, b3=1.0, K=1.0)
     try:
@@ -788,72 +786,39 @@ def bautin_scenario(
     k1 = 1.0 + delta_k
     stage1 = CanonicalParams(a1=k1, b1=b1, a3=a3, b3=1.0, K=k1)
     stage1_focal = closed_form_focal(stage1)
-    detect = lambda params, tol: detect_limit_cycles(  # noqa: E731
-        params,
-        r_min,
-        r_max,
-        n_scan,
-        rel_tol=rel_tol,
-        refine_rel_tol=tol,
+    detect = lambda params: detect_limit_cycles(  # noqa: E731
+        params, r_min, r_max, n_scan, rel_tol=rel_tol, refine_rel_tol=refine_rel_tol
     )
-    stage1_report = detect(stage1, refine_rel_tol)
+    stage1_report = detect(stage1)
 
     def with_eps(eps: float) -> CanonicalParams:
         return CanonicalParams(a1=k1 - eps, b1=b1, a3=a3, b3=1.0, K=k1)
 
-    radii = _scan_radii(r_min, r_max, n_scan)
-    probe_tol = max(refine_rel_tol, 1e-9)
-
-    def coarse_two(eps: float) -> bool:
-        # the shape needs only the confirmed brackets' signs, and a third
-        # bracket already rules it out
-        c = with_eps(eps)
-        disp = _scan(c, radii, rel_tol)
-        brackets = _brackets(c, radii, disp, rel_tol, probe_tol)
-        shape = tuple(_stability(f_lo) for _, _, f_lo, _ in islice(brackets, 3))
-        return shape == _TWO_CYCLE_SHAPE
-
     if delta_a1 is None:
-        eps = _EPS_SEED
-        for _ in range(7):
-            if coarse_two(eps):
-                break
-            eps /= 3.0
-        else:
+        shape1 = tuple(cyc.stability for cyc in stage1_report.cycles)
+        if shape1 != (CycleStability.STABLE,):
             raise BadBase(
-                f"no trace perturbation near {_EPS_SEED} produced two cycles "
-                f"for base (b1={b1}, a3={a3})"
+                f"stage 1 of base (b1={b1}, a3={a3}, dK={delta_k}) needs exactly "
+                f"one stable cycle, found {[s.value for s in shape1]}"
             )
-        # grow toward the fold where the two cycles merge, then back off
-        ok = eps
-        probe = eps * 2.0
-        for _ in range(10):
-            if not coarse_two(probe):
-                break
-            ok = probe
-            probe *= 2.0
-        else:
-            probe = ok * 2.0
-        lo, hi = ok, probe
-        for _ in range(6):
-            mid = 0.5 * (lo + hi)
-            if coarse_two(mid):
-                lo = mid
-            else:
-                hi = mid
-        eps = 0.5 * lo
+        # with d(r)/r ~ -pi*eps/omega + L1 r**2 + L2 r**4 two cycles exist for
+        # 0 < eps < omega L1**2 / (4 pi |L2|); take half that fold
+        omega = math.sqrt(jacobian(stage1).determinant)
+        eps = omega * stage1_focal.L1**2 / (8.0 * math.pi * abs(base_focal.L2))
     else:
         eps = delta_a1
 
-    stage2 = with_eps(eps)
-    stage2_report = detect(stage2, refine_rel_tol)
-    if delta_a1 is None and not _two_cycle_shape(stage2_report):
-        for _ in range(5):
-            eps *= 0.6
-            stage2 = with_eps(eps)
-            stage2_report = detect(stage2, refine_rel_tol)
-            if _two_cycle_shape(stage2_report):
-                break
+    for _ in range(6):
+        stage2 = with_eps(eps)
+        stage2_report = detect(stage2)
+        if delta_a1 is not None or _two_cycle_shape(stage2_report):
+            break
+        eps *= 0.6
+    else:
+        raise BadBase(
+            f"stage 2 of base (b1={b1}, a3={a3}, dK={delta_k}) lacks the "
+            f"two-cycle shape down to eps = {eps / 0.6:.3g}"
+        )
 
     return BautinResult(
         base_params=base,

@@ -11,6 +11,7 @@ rescaling, which is what ``r2_transform`` encodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import CaseMismatch, DegenerateK, DomainError
 from .model import CLOSE_TOL, CanonicalParams, Point, close, vector_field
@@ -30,26 +31,24 @@ def reflection(pt: Point | tuple[float, float]) -> tuple[float, float]:
     return y, x
 
 
-def _residual_at(
-    f1: float, f2: float, g1: float, g2: float, scale: float
-) -> float:
-    """Scaled sup-norm of F(R p) + R(F p) given F(R p) = (f1, f2) and
-    F(p) = (g1, g2)."""
-    return max(abs(f1 + g2), abs(f2 + g1)) / scale
+def _swap_residual(field, pts: list[Point] | list[tuple[float, float]]) -> float:
+    """Largest sup-norm of field(R p) + R(field(p)) over the points, each
+    scaled by max(1, |field(p)|)."""
+    worst = 0.0
+    for pt in pts:
+        x, y = (pt.x, pt.y) if isinstance(pt, Point) else pt
+        g1, g2 = field((x, y))
+        f1, f2 = field((y, x))
+        scale = max(1.0, abs(g1), abs(g2))
+        worst = max(worst, max(abs(f1 + g2), abs(f2 + g1)) / scale)
+    return worst
 
 
 def r1_residual(
     c: CanonicalParams, pts: list[Point] | list[tuple[float, float]]
 ) -> float:
     """Largest scaled reversibility defect of the canonical field itself."""
-    worst = 0.0
-    for pt in pts:
-        x, y = (pt.x, pt.y) if isinstance(pt, Point) else pt
-        g1, g2 = vector_field(c, (x, y))
-        f1, f2 = vector_field(c, (y, x))
-        scale = max(1.0, abs(g1), abs(g2))
-        worst = max(worst, _residual_at(f1, f2, g1, g2, scale))
-    return worst
+    return _swap_residual(partial(vector_field, c), pts)
 
 
 @dataclass(frozen=True)
@@ -116,12 +115,4 @@ def r2_residual(
     c: CanonicalParams, pts: list[Point] | list[tuple[float, float]]
 ) -> float:
     """Largest scaled reversibility defect of the transformed field."""
-    tfield = r2_transform(c)
-    worst = 0.0
-    for pt in pts:
-        u, v = (pt.x, pt.y) if isinstance(pt, Point) else pt
-        g1, g2 = transformed_field_value(tfield, (u, v))
-        f1, f2 = transformed_field_value(tfield, (v, u))
-        scale = max(1.0, abs(g1), abs(g2))
-        worst = max(worst, _residual_at(f1, f2, g1, g2, scale))
-    return worst
+    return _swap_residual(partial(transformed_field_value, r2_transform(c)), pts)

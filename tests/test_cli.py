@@ -278,6 +278,12 @@ def test_bautin_two_cycles(capsys):
     assert "Unstable" in out and "Stable" in out
 
 
+def test_bautin_bad_base_exits_numeric(capsys):
+    # dK of the wrong sign gives stage 1 no cycle to start from
+    assert run_cli(["bautin", "--b1", "-2", "--a3", "-3", "--dK", "-0.02"]) == 65
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_argument_fuzz_never_crashes(capsys):
     rng = random.Random(20240817)
     subcommands = [
@@ -329,7 +335,7 @@ def test_argument_fuzz_never_crashes(capsys):
         ),
         (
             ["bautin", "--b1", "-2", "--a3", "-3", "--dK", "0.02"],
-            "ef74fc6d8dc09311e4ece03393fabfdce6236a0038dedf877da7f8b81489685e",
+            "8ebb317e01c122f0a14a15deb2c758de881ce666cc4f05ea8511d4bf3695af1b",
         ),
     ],
     ids=["cycles", "bautin"],

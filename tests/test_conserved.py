@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import helpers
@@ -18,6 +19,7 @@ from lotkacenter import (
     gradient,
     integrate,
     invariance_residual,
+    match_table_cases,
 )
 from lotkacenter.conserved import TermKind
 from lotkacenter.dynamics import brentq
@@ -76,6 +78,27 @@ def test_intersection_invariance():
     for i, c in enumerate(helpers.r_intersection_draws(71, 25)):
         fi = build_integral(IntegralCase.R1_CAP_R2, c)
         assert invariance_residual(fi, c, pts) <= 1e-10, f"draw {i}"
+
+
+def test_reversible_request_resolves_to_intersection_iff_both_families_match():
+    # shared-subfamily draws moved off it at 1e-9 with the trace kept zero,
+    # where any second family test would disagree with the matcher
+    rng = np.random.default_rng(7)
+    both_seen = one_seen = 0
+    for i, d in enumerate(helpers.r_intersection_draws(3, 5000)):
+        a1, b1, a3 = (v + rng.normal(0.0, 1e-9) for v in (d.a1, d.b1, d.a3))
+        K = d.K * (1.0 + rng.normal(0.0, 1e-9))
+        c = CanonicalParams(float(a1), float(b1), float(a3), float(a1 / K), float(K))
+        both = {CenterCase.R1, CenterCase.R2} <= match_table_cases(c)
+        both_seen += both
+        one_seen += not both
+        for case in (CenterCase.R1, CenterCase.R2):
+            try:
+                resolved = build_integral(case, c).case
+            except (CaseMismatch, NoKnownIntegral):
+                resolved = None
+            assert (resolved is IntegralCase.R1_CAP_R2) == both, f"draw {i}, {case.value}"
+    assert both_seen and one_seen
 
 
 def test_log_replacement_case_iii():

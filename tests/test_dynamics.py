@@ -7,6 +7,7 @@ import pytest
 
 import helpers
 from lotkacenter import (
+    BadBase,
     BautinResult,
     CanonicalParams,
     CenterCase,
@@ -22,6 +23,7 @@ from lotkacenter import (
     format_return_record,
     format_trajectory,
     integrate,
+    jacobian,
     poincare_return,
     return_map_sign_probe,
     section_displacement,
@@ -257,37 +259,60 @@ def _count_maps(monkeypatch) -> list:
     return calls
 
 
+#: the two acceptance bases (b1, a3, dK) of criterion 7
+BAUTIN_BASES = ((-2.0, -3.0, 0.02), (2.0, 1.0, -0.02))
+
+
 @pytest.fixture(scope="module")
-def bautin_base1() -> tuple[BautinResult, int]:
-    """bautin_scenario(-2, -3, 0.02) and the return maps it made."""
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _count_maps(mp)
-        result = bautin_scenario(-2.0, -3.0, 0.02)
-    return result, len(calls)
+def bautin_runs() -> dict[tuple[float, float, float], tuple[BautinResult, int]]:
+    """bautin_scenario on each acceptance base and the return maps it made."""
+    runs = {}
+    for base in BAUTIN_BASES:
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_maps(mp)
+            result = bautin_scenario(*base)
+        runs[base] = result, len(calls)
+    return runs
 
 
 def _cycle_hex(report) -> list[tuple[str, str, str]]:
     return [(c.radius.hex(), c.displacement.hex(), c.stability.value) for c in report.cycles]
 
 
-def test_bautin_golden_bits(bautin_base1):
-    # float.hex captured before the cycle search was reworked; any moved bit fails
-    result, _ = bautin_base1
-    assert result.stage2_eps.hex() == "0x1.3b645a1cac084p-12"
+def test_bautin_golden_bits(bautin_runs):
+    # float.hex captured when eps came to be read off the normal form
+    result, _ = bautin_runs[BAUTIN_BASES[0]]
+    assert result.stage2_eps.hex() == "0x1.44b5031ba9994p-12"
     assert _cycle_hex(result.stage1_report) == [
         ("0x1.52cc9188020fcp+0", "-0x1.0000000000000p-51", "Stable"),
     ]
     assert _cycle_hex(result.stage2_report) == [
-        ("0x1.34d085490c396p-2", "-0x1.0000000000000p-51", "Unstable"),
-        ("0x1.22094a53846c2p+0", "0x1.4000000000000p-48", "Stable"),
+        ("0x1.3bbe436fb2cc9p-2", "-0x1.8000000000000p-51", "Unstable"),
+        ("0x1.2059215745a72p+0", "-0x1.0000000000000p-47", "Stable"),
     ]
 
 
-def test_bautin_return_map_budget(bautin_base1):
-    # the eps search reads bracket signs only, and no refinement maps a
-    # value it already has (446 maps before)
-    _, maps = bautin_base1
-    assert maps <= 345
+def test_bautin_return_map_budget(bautin_runs):
+    # two scans and their refinements; eps is predicted, not searched for
+    for base, (_, maps) in bautin_runs.items():
+        assert maps <= 120, base
+
+
+def test_bautin_eps_is_half_the_normal_form_fold(bautin_runs):
+    for base, (result, _) in bautin_runs.items():
+        omega = math.sqrt(jacobian(result.stage1_params).determinant)
+        fold = omega * result.stage1_focal.L1**2 / (4.0 * math.pi * abs(result.base_focal.L2))
+        assert result.stage2_eps == pytest.approx(fold / 2.0, rel=1e-12), base
+
+
+@pytest.mark.parametrize(
+    "b1, a3, delta_k",
+    [(2.0, 3.0, 0.02), (1.0, 0.5, 0.02), (-2.0, -3.0, -0.02), (2.0, 1.0, 0.02)],
+    ids=["L2-positive", "not-elliptic", "dK-sign-base1", "dK-sign-base2"],
+)
+def test_bautin_bad_base_raises(b1, a3, delta_k):
+    with pytest.raises(BadBase):
+        bautin_scenario(b1, a3, delta_k)
 
 
 def test_single_cycle_golden_bits():
