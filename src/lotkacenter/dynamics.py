@@ -181,8 +181,12 @@ def _dp54_step(c: CanonicalParams):
     ``step(x, y, fx, fy, h)`` takes the state and its field value and
     returns ``(x1, y1, fx1, fy1, ex, ey)``: the new state, the field
     there and the embedded error estimate.  It returns None when a stage
-    leaves the open quadrant, overflows or is not finite; every stage
-    inlines the field of ``_rhs_factory`` with the same guard.
+    leaves the open quadrant, overflows or is not finite.  Every stage
+    inlines the field of ``_rhs_factory``, and the positivity test on the
+    state it is evaluated at guards it: a non-finite k2..k6 enters the
+    next state with a nonzero tableau coefficient, so that state is inf
+    or NaN and fails the test before any power runs.  Only k7, which
+    leaves the step, is tested for finiteness itself.
     """
     a1, b1, a3, b3, K = c.a1, c.b1, c.a3, c.b3, c.K
     inf = math.inf
@@ -203,8 +207,6 @@ def _dp54_step(c: CanonicalParams):
                 return None
             k2x = xs**a1 * ys**b1 - 1.0
             k2y = K * (1.0 - xs**a3 * ys**b3)
-            if not (isfinite(k2x) and isfinite(k2y)):
-                return None
 
             xs = x + h * (a31 * k1x + a32 * k2x)
             ys = y + h * (a31 * k1y + a32 * k2y)
@@ -212,8 +214,6 @@ def _dp54_step(c: CanonicalParams):
                 return None
             k3x = xs**a1 * ys**b1 - 1.0
             k3y = K * (1.0 - xs**a3 * ys**b3)
-            if not (isfinite(k3x) and isfinite(k3y)):
-                return None
 
             xs = x + h * (a41 * k1x + a42 * k2x + a43 * k3x)
             ys = y + h * (a41 * k1y + a42 * k2y + a43 * k3y)
@@ -221,8 +221,6 @@ def _dp54_step(c: CanonicalParams):
                 return None
             k4x = xs**a1 * ys**b1 - 1.0
             k4y = K * (1.0 - xs**a3 * ys**b3)
-            if not (isfinite(k4x) and isfinite(k4y)):
-                return None
 
             xs = x + h * (a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x)
             ys = y + h * (a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y)
@@ -230,8 +228,6 @@ def _dp54_step(c: CanonicalParams):
                 return None
             k5x = xs**a1 * ys**b1 - 1.0
             k5y = K * (1.0 - xs**a3 * ys**b3)
-            if not (isfinite(k5x) and isfinite(k5y)):
-                return None
 
             xs = x + h * (a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x)
             ys = y + h * (a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y)
@@ -239,8 +235,6 @@ def _dp54_step(c: CanonicalParams):
                 return None
             k6x = xs**a1 * ys**b1 - 1.0
             k6y = K * (1.0 - xs**a3 * ys**b3)
-            if not (isfinite(k6x) and isfinite(k6y)):
-                return None
 
             x1 = x + h * (b_1 * k1x + b_3 * k3x + b_4 * k4x + b_5 * k5x + b_6 * k6x)
             y1 = y + h * (b_1 * k1y + b_3 * k3y + b_4 * k4y + b_5 * k5y + b_6 * k6y)
@@ -328,12 +322,16 @@ def _drive(
     reason = TerminationReason.TIME_LIMIT
     if section is not None:
         axis, direction, t_min = section.axis, section.direction, section.t_min
+        g0 = (y if axis else x) - 1.0
 
+    # the per-step path spells max/min as comparisons that pick the same
+    # floats; x, x1, y and y1 are positive, so the scales need no abs
     while t < t_max:
         if n_acc + n_rej >= step_budget:
             reason = TerminationReason.STEP_BUDGET
             break
-        h = min(h, t_max - t)
+        if t_max - t < h:
+            h = t_max - t
         if h < h_min:
             if t_max - t < 100.0 * h_min:
                 reason = TerminationReason.TIME_LIMIT
@@ -348,17 +346,17 @@ def _drive(
             h *= 0.5
             continue
         x1, y1, fx1, fy1, ex, ey = new
-        sc_x = atol + rel_tol * max(abs(x), abs(x1))
-        sc_y = atol + rel_tol * max(abs(y), abs(y1))
+        sc_x = atol + rel_tol * (x if x > x1 else x1)
+        sc_y = atol + rel_tol * (y if y > y1 else y1)
         err = sqrt(0.5 * ((ex / sc_x) ** 2 + (ey / sc_y) ** 2))
         if err > 1.0:
             n_rej += 1
-            h *= max(0.2, 0.9 * err**-0.2)
+            fac = 0.9 * err**-0.2
+            h *= fac if fac > 0.2 else 0.2
             continue
 
         t1 = t + h
         if section is not None:
-            g0 = (y if axis else x) - 1.0
             g1 = (y1 if axis else x1) - 1.0
             crossed = (g0 > 0.0 > g1) or (g0 < 0.0 < g1) or (g1 == 0.0 and g0 != 0.0)
             if crossed and t1 > t_min:
@@ -374,6 +372,7 @@ def _drive(
                             pts.append((hit_x, hit_y))
                         reason = TerminationReason.SECTION_RETURN
                         break
+            g0 = g1
 
         t, x, y, fx, fy = t1, x1, y1, fx1, fy1
         n_acc += 1
@@ -383,7 +382,12 @@ def _drive(
         if not (low < x < high and low < y < high):
             reason = TerminationReason.QUADRANT_ESCAPE
             break
-        h = min(h_cap, h * min(5.0, max(0.2, 0.9 * err**-0.2 if err > 0 else 5.0)))
+        # err <= 1 here (a NaN err takes 5.0), so the growth factor is at
+        # least 0.9 and only its upper clamp can act
+        fac = 0.9 * err**-0.2 if err > 0 else 5.0
+        h *= fac if fac < 5.0 else 5.0
+        if h > h_cap:
+            h = h_cap
 
     else:
         reason = TerminationReason.TIME_LIMIT
@@ -439,7 +443,7 @@ def integrate(
     x0, y0 = (start.x, start.y) if isinstance(start, Point) else start
     if not (x0 > 0.0 and y0 > 0.0):
         raise PreconditionViolated(f"start ({x0}, {y0}) is not strictly positive")
-    if t_max <= 0.0:
+    if not t_max > 0.0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     reason, _, (n_acc, n_rej), (times, pts), _ = _drive(
         c, x0, y0, t_max, rel_tol, _char_period(c), step_budget=step_budget, record=True
@@ -709,8 +713,8 @@ def detect_limit_cycles(
     level).  Radii that fail to return contribute NaN and break the scan
     into independently searched segments.
     """
-    if not (0.0 < r_min < r_max):
-        raise ValueError(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
+    if not (0.0 < r_min < r_max < math.inf):
+        raise ValueError(f"need 0 < r_min < r_max < inf, got {r_min}, {r_max}")
     if n_scan < 2:
         raise ValueError(f"n_scan must be at least 2, got {n_scan}")
     radii = [float(r) for r in np.geomspace(r_min, r_max, n_scan)]

@@ -11,6 +11,7 @@ return map, is what the test suite leans on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -175,6 +176,15 @@ def _binom_coeffs(a: float, n: int) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _over_cap(cap: int) -> np.ndarray:
+    """Read-only mask of the (cap+1, cap+1) entries of total degree > cap."""
+    ii, jj = np.indices((cap + 1, cap + 1))
+    mask = ii + jj > cap
+    mask.setflags(write=False)
+    return mask
+
+
 def taylor_expand(c: CanonicalParams, degree: int) -> TaylorField:
     """Expand the canonical field about the equilibrium to total degree."""
     if degree < 1:
@@ -184,8 +194,7 @@ def taylor_expand(c: CanonicalParams, degree: int) -> TaylorField:
     fy = -c.K * np.outer(_binom_coeffs(c.a3, n), _binom_coeffs(c.b3, n))
     fx[0, 0] = 0.0
     fy[0, 0] = 0.0
-    ii, jj = np.indices(fx.shape)
-    over = ii + jj > n
+    over = _over_cap(n)
     fx[over] = 0.0
     fy[over] = 0.0
     return TaylorField(degree=n, fx=fx, fy=fy)
@@ -217,8 +226,7 @@ def _poly_mul(A: np.ndarray, B: np.ndarray, cap: int) -> np.ndarray:
         ni = cap + 1 - i
         nj = cap + 1 - j
         out[i:, j:] += A[i, j] * B[:ni, :nj]
-    ii, jj = np.indices(out.shape)
-    out[ii + jj > cap] = 0.0
+    out[_over_cap(cap)] = 0.0
     return out
 
 
@@ -231,6 +239,28 @@ def _poly_powers(P: np.ndarray, cap: int) -> list[np.ndarray]:
     for _ in range(cap):
         out.append(_poly_mul(out[-1], P, cap))
     return out
+
+
+@functools.cache
+def _pq_monomials(cap: int) -> np.ndarray:
+    """Read-only table of p**m * q**n in (z, conj z) at ``[m, n]``,
+    truncated to total degree <= cap, with p = (z + conj z)/2 and
+    q = -i(z - conj z)/2.  It depends on ``cap`` alone, so each cap
+    builds it once; entries with m + n > cap are zero and never read."""
+    Zp = np.zeros((cap + 1, cap + 1), dtype=complex)
+    Zp[1, 0] = 0.5
+    Zp[0, 1] = 0.5
+    Zq = np.zeros((cap + 1, cap + 1), dtype=complex)
+    Zq[1, 0] = -0.5j
+    Zq[0, 1] = 0.5j
+    zp_pows = _poly_powers(Zp, cap)
+    zq_pows = _poly_powers(Zq, cap)
+    table = np.zeros((cap + 1, cap + 1, cap + 1, cap + 1), dtype=complex)
+    for m in range(cap + 1):
+        for n in range(cap + 1 - m):
+            table[m, n] = _poly_mul(zp_pows[m], zq_pows[n], cap)
+    table.setflags(write=False)
+    return table
 
 
 def _complexified_field(tf: TaylorField, cap: int) -> tuple[float, np.ndarray]:
@@ -273,8 +303,7 @@ def _complexified_field(tf: TaylorField, cap: int) -> tuple[float, np.ndarray]:
                     continue
                 block = v_pows[j]
                 out[:, i:] += w * block[:, : cap + 1 - i]
-        ii, jj = np.indices(out.shape)
-        out[ii + jj > cap] = 0.0
+        out[_over_cap(cap)] = 0.0
         return out
 
     G1 = substitute(np.asarray(tf.fx))
@@ -282,20 +311,11 @@ def _complexified_field(tf: TaylorField, cap: int) -> tuple[float, np.ndarray]:
     P_dot = (a * G1 + b * G2) / omega
     Q_dot = G1
 
-    # p = (z + w)/2, q = -i(z - w)/2 with w standing for conj z
-    Zp = np.zeros((cap + 1, cap + 1), dtype=complex)
-    Zp[1, 0] = 0.5
-    Zp[0, 1] = 0.5
-    Zq = np.zeros((cap + 1, cap + 1), dtype=complex)
-    Zq[1, 0] = -0.5j
-    Zq[0, 1] = 0.5j
-    zp_pows = _poly_powers(Zp, cap)
-    zq_pows = _poly_powers(Zq, cap)
-
     W = P_dot + 1j * Q_dot
     H = np.zeros((cap + 1, cap + 1), dtype=complex)
+    pq = _pq_monomials(cap)
     for m, n in zip(*np.nonzero(W)):
-        H += W[m, n] * _poly_mul(zp_pows[m], zq_pows[n], cap)
+        H += W[m, n] * pq[m, n]
 
     lin_err = max(abs(H[1, 0] - 1j * omega), abs(H[0, 1]))
     if lin_err > 1e-9 * omega:

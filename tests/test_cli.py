@@ -380,3 +380,25 @@ def test_readme_invocations_run(capsys):
     for argv in invocations:
         assert run_cli(argv) in {0, 1, 2}, argv
     capsys.readouterr()
+
+
+def test_simulate_rejects_nan_t_max(capsys):
+    argv = [
+        "simulate",
+        *("--a1", "1", "--b1", "2", "--a3", "1", "--b3", "1", "--K", "1"),
+        *("--x0", "1.2", "--y0", "1.0", "--t-max", "nan"),
+    ]
+    assert run_cli(argv) == 65
+    assert "t_max" in capsys.readouterr().err
+
+
+def test_cycles_rejects_infinite_r_max(capsys):
+    argv = [
+        "cycles",
+        *("--a1", "0.98", "--b1", "2", "--a3", "1", "--b3", "1", "--K", "0.98"),
+        *("--r-min", "0.1", "--r-max", "inf", "--n-scan", "5"),
+    ]
+    assert run_cli(argv) == 65
+    captured = capsys.readouterr()
+    assert "r_max" in captured.err
+    assert "cycles =" not in captured.out

@@ -1,5 +1,6 @@
 """Integration, return maps, and limit-cycle detection."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -335,3 +336,67 @@ def test_scan_maps_each_point_once(monkeypatch, c, radii, kwargs):
     rep = detect_limit_cycles(c, *radii, **kwargs)
     assert rep.cycles
     assert len(calls) == len(set(calls))
+
+
+#: float.hex of (return_x, return_time) and the crossings, captured before
+#: the stepper's per-step work was trimmed
+_RETURN_GOLDEN = {
+    "focus": (
+        WEAK_FOCUS,
+        {
+            1e-8: ("0x1.33317acabe968p+0", "0x1.9703dda7914a9p+2", 2),
+            1e-9: ("0x1.33317acbd6033p+0", "0x1.9703dda7e36d3p+2", 2),
+            1e-11: ("0x1.33317acbd6eb6p+0", "0x1.9703dda7e3ae3p+2", 2),
+        },
+    ),
+    "center": (
+        CanonicalParams(0.5, 2.0, 2.0, 0.5, 1.0),
+        {
+            1e-8: ("0x1.333333319cf8ep+0", "0x1.a2ff34afb531fp+1", 2),
+            1e-9: ("0x1.3333333331e62p+0", "0x1.a2ff34afebee2p+1", 2),
+            1e-11: ("0x1.333333333331dp+0", "0x1.a2ff34afebdd4p+1", 2),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RETURN_GOLDEN))
+def test_return_map_golden_bits(name):
+    c, golden = _RETURN_GOLDEN[name]
+    for rel_tol, (ret_x, ret_t, crossings) in golden.items():
+        rec = poincare_return(c, 1.2, rel_tol)
+        assert (rec.return_x.hex(), rec.return_time.hex(), rec.crossings) == (
+            ret_x,
+            ret_t,
+            crossings,
+        ), rel_tol
+
+
+def test_trajectory_golden_digest():
+    tr = integrate(WEAK_FOCUS, (1.2, 1.0), t_max=10.0, rel_tol=1e-9)
+    digest = hashlib.sha256(tr.times.tobytes() + tr.points.tobytes()).hexdigest()
+    assert digest == "cd30565cf4a4a10bc5a8af01f071d64842ea38ed881a5829aae25f7b2ddc00c9"
+    assert (tr.n_accepted, tr.n_rejected) == (504, 0)
+
+
+def test_step_rejects_stage_overflow_without_raising():
+    # stage 2's x-field is inf as the product of two finite powers; the
+    # next stage's state turns inf and the positivity guard rejects it
+    step = dynamics._dp54_step(CanonicalParams(2.0, 2.0, 1.0, 1.0, 1.0))
+    assert step(1e100, 1e100, 0.0, 0.0, 1e-3) is None
+
+
+@pytest.mark.parametrize("t_max", [math.nan, 0.0, -1.0])
+def test_integrate_rejects_non_positive_t_max(t_max):
+    with pytest.raises(ValueError, match="t_max"):
+        integrate(WEAK_FOCUS, (1.2, 1.0), t_max)
+
+
+@pytest.mark.parametrize(
+    "r_min, r_max",
+    [(0.1, math.inf), (0.0, 1.0), (0.5, 0.5), (math.nan, 1.0), (0.1, math.nan)],
+    ids=["inf", "zero", "equal", "nan-min", "nan-max"],
+)
+def test_scan_needs_finite_ordered_radii(r_min, r_max):
+    with pytest.raises(ValueError, match="r_min"):
+        detect_limit_cycles(WEAK_FOCUS, r_min, r_max, 5)

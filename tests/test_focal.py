@@ -17,6 +17,7 @@ from lotkacenter import (
     taylor_expand,
     vector_field,
 )
+from lotkacenter import focal
 
 
 def _poly_eval(tf, u, v):
@@ -254,3 +255,22 @@ def test_lyapunov_numeric_golden_bits(c, branch, golden):
     for order, bits in golden.items():
         q = lyapunov_numeric(taylor_expand(c, 2 * order + 1), order)
         assert tuple(float(v).hex() for v in (*q.ell, q.omega)) == bits, f"order {order}"
+
+
+def test_cap_tables_are_read_only():
+    for table in (focal._pq_monomials(6), focal._over_cap(6)):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+
+@pytest.mark.parametrize("caps", [(4, 6, 10), (10, 4, 6)], ids=["ascending", "10-first"])
+def test_cap_tables_do_not_depend_on_build_order(caps):
+    # orders 1, 2 and 4 read the tables of caps 4, 6 and 10
+    focal._pq_monomials.cache_clear()
+    focal._over_cap.cache_clear()
+    for cap in caps:
+        focal._pq_monomials(cap)
+    for c, _, golden in _LYAPUNOV_GOLDEN:
+        for order, bits in golden.items():
+            q = lyapunov_numeric(taylor_expand(c, 2 * order + 1), order)
+            assert tuple(float(v).hex() for v in (*q.ell, q.omega)) == bits, (c, order)
