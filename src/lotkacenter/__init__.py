@@ -35,7 +35,6 @@ from .dynamics import (
     CycleStability,
     LimitCycleReport,
     ReturnRecord,
-    SignProbe,
     TerminationReason,
     Trajectory,
     bautin_scenario,
@@ -45,7 +44,6 @@ from .dynamics import (
     format_trajectory,
     integrate,
     poincare_return,
-    return_map_sign_probe,
     section_displacement,
 )
 from .errors import (
@@ -125,7 +123,6 @@ __all__ = [
     "PreconditionViolated",
     "RawLotkaParams",
     "ReturnRecord",
-    "SignProbe",
     "TaylorField",
     "TerminationReason",
     "Trajectory",
@@ -155,7 +152,6 @@ __all__ = [
     "r2_residual",
     "r2_transform",
     "reflection",
-    "return_map_sign_probe",
     "section_displacement",
     "taylor_expand",
     "transformed_field_value",

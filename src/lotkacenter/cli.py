@@ -225,14 +225,7 @@ def _cmd_poincare(args: argparse.Namespace) -> int:
 
 def _cmd_cycles(args: argparse.Namespace) -> int:
     c = _params(args)
-    report = detect_limit_cycles(
-        c,
-        args.r_min,
-        args.r_max,
-        args.n_scan,
-        rel_tol=args.rel_tol,
-        refine_rel_tol=args.refine_tol,
-    )
+    report = detect_limit_cycles(c, args.r_min, args.r_max, args.n_scan)
     print(format_cycle_report(report))
     return 0
 
@@ -261,17 +254,7 @@ def _cmd_verify_reversible(args: argparse.Namespace) -> int:
 
 
 def _cmd_bautin(args: argparse.Namespace) -> int:
-    result = bautin_scenario(
-        args.b1,
-        args.a3,
-        args.dK,
-        args.dA1,
-        r_min=args.r_min,
-        r_max=args.r_max,
-        n_scan=args.n_scan,
-        rel_tol=args.rel_tol,
-        refine_rel_tol=args.refine_tol,
-    )
+    result = bautin_scenario(args.b1, args.a3, args.dK)
     print("# base (trace = 0, first focal value = 0)")
     print(focal_record(result.base_focal))
     print("# stage 1: K perturbed, trace still 0")
@@ -280,17 +263,6 @@ def _cmd_bautin(args: argparse.Namespace) -> int:
     print(f"# stage 2: a1 = K - eps, eps = {result.stage2_eps!r}")
     print(format_cycle_report(result.stage2_report))
     return 0
-
-
-def _auto_or_float(text: str):
-    if text.strip().lower() == "auto":
-        return None
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected a number or 'auto', got {text!r}"
-        ) from exc
 
 
 def build_parser() -> _Parser:
@@ -339,8 +311,6 @@ def build_parser() -> _Parser:
     p.add_argument("--r-min", type=float, default=0.02)
     p.add_argument("--r-max", type=float, default=1.5)
     p.add_argument("--n-scan", type=int, default=30)
-    p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--refine-tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_cycles)
 
     p = sub.add_parser(
@@ -369,12 +339,6 @@ def build_parser() -> _Parser:
     p.add_argument("--b1", type=float, required=True)
     p.add_argument("--a3", type=float, required=True)
     p.add_argument("--dK", type=float, required=True)
-    p.add_argument("--dA1", type=_auto_or_float, default=None)
-    p.add_argument("--r-min", type=float, default=0.02)
-    p.add_argument("--r-max", type=float, default=1.5)
-    p.add_argument("--n-scan", type=int, default=30)
-    p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--refine-tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_bautin)
 
     return parser

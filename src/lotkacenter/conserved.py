@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .classifier import CenterCase, match_table_cases
-from .errors import CaseMismatch, DomainError, NoKnownIntegral
-from .model import CanonicalParams, Point, vector_field
+from .errors import CaseMismatch, NoKnownIntegral
+from .model import CanonicalParams, Point, _positive_xy, vector_field
 
 __all__ = [
     "FirstIntegral",
@@ -196,16 +196,12 @@ def build_integral(case: CenterCase | IntegralCase, c: CanonicalParams) -> First
 
 
 def evaluate(fi: FirstIntegral, pt: Point | tuple[float, float]) -> float:
-    x, y = (pt.x, pt.y) if isinstance(pt, Point) else pt
-    if not (x > 0.0 and y > 0.0):
-        raise DomainError(f"point ({x}, {y}) is not strictly positive")
+    x, y = _positive_xy(pt)
     return sum(_term_value(t, x, y) for t in fi.terms)
 
 
 def gradient(fi: FirstIntegral, pt: Point | tuple[float, float]) -> tuple[float, float]:
-    x, y = (pt.x, pt.y) if isinstance(pt, Point) else pt
-    if not (x > 0.0 and y > 0.0):
-        raise DomainError(f"point ({x}, {y}) is not strictly positive")
+    x, y = _positive_xy(pt)
     gx = 0.0
     gy = 0.0
     for t in fi.terms:

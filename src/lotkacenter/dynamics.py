@@ -21,6 +21,12 @@ change at the refinement tolerance, and refines the confirmed brackets
 with Brent's method.  The Bautin construction takes its trace
 perturbation from the generalized-Hopf normal form and keeps the
 return-map scan as the certificate of the two-cycle shape.
+
+Each cycle-layer setting with one value in use is a module constant:
+the scan and refinement tolerances, the return map's period and step
+budgets and the Bautin scan window.  Callers choose a scan's radii, the
+rel_tol of a single map or trajectory, and a trajectory's length and
+step budget.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ __all__ = [
     "CycleStability",
     "LimitCycleReport",
     "ReturnRecord",
-    "SignProbe",
     "TerminationReason",
     "Trajectory",
     "bautin_scenario",
@@ -51,11 +56,12 @@ __all__ = [
     "format_trajectory",
     "integrate",
     "poincare_return",
-    "return_map_sign_probe",
     "section_displacement",
 ]
 
 STEP_BUDGET_DEFAULT = 10_000_000
+#: a return map gives up after this many characteristic periods
+_PERIODS_BUDGET = 50.0
 
 # Dormand-Prince 5(4) tableau
 _A2 = (1 / 5,)
@@ -77,10 +83,11 @@ _ESCAPE_HIGH = 1e4
 
 #: scan sign changes with both displacements under this are integration noise
 _NOISE_FLOOR = 1e-7
-#: the sign probe's return-map tolerance, and the displacement under
-#: which it reports sign 0
-_PROBE_REL_TOL = 1e-10
-_PROBE_THRESHOLD = 1e-9
+#: return-map tolerances of a cycle scan and of the root refinement
+_SCAN_REL_TOL = 1e-8
+_REFINE_REL_TOL = 1e-10
+#: the radius window and scan length of both Bautin stages
+_BAUTIN_SCAN = (0.02, 1.5, 30)
 
 
 class TerminationReason(Enum):
@@ -445,6 +452,8 @@ def integrate(
         raise PreconditionViolated(f"start ({x0}, {y0}) is not strictly positive")
     if not t_max > 0.0:
         raise ValueError(f"t_max must be positive, got {t_max}")
+    if not step_budget >= 1:
+        raise ValueError(f"step_budget must be at least 1, got {step_budget}")
     reason, _, (n_acc, n_rej), (times, pts), _ = _drive(
         c, x0, y0, t_max, rel_tol, _char_period(c), step_budget=step_budget, record=True
     )
@@ -520,23 +529,20 @@ def poincare_return(
     c: CanonicalParams,
     x0: float,
     rel_tol: float = 1e-9,
-    *,
-    periods_budget: float = 50.0,
-    step_budget: int = STEP_BUDGET_DEFAULT,
 ) -> ReturnRecord:
     """First return to the section through (1, 1) on the start side.
 
     ``x0`` is the in-section coordinate (x on the section y = 1; y on
-    the fallback section x = 1 used when a3 = 0) and must exceed 1.
+    the fallback section x = 1 used when a3 = 0) and must exceed 1.  The
+    orbit gets ``_PERIODS_BUDGET`` characteristic periods to return.
     """
     if not x0 > 1.0:
         raise PreconditionViolated(f"in-section coordinate must exceed 1, got {x0}")
     radius = x0 - 1.0
     t_char = _char_period(c)
     section, sx, sy = _section_for(c, radius, t_char)
-    t_max = periods_budget * t_char
     reason, hit, _, _, last = _drive(
-        c, sx, sy, t_max, rel_tol, t_char, step_budget=step_budget, section=section
+        c, sx, sy, _PERIODS_BUDGET * t_char, rel_tol, t_char, section=section
     )
     if hit is None:
         raise NoReturn(
@@ -556,41 +562,6 @@ def poincare_return(
 def section_displacement(c: CanonicalParams, radius: float, rel_tol: float = 1e-9) -> float:
     """Displacement of one return, parameterized by radius = coord - 1."""
     return poincare_return(c, 1.0 + radius, rel_tol).displacement
-
-
-@dataclass(frozen=True)
-class SignProbe:
-    """Sign of the return-map displacement at a small radius.
-
-    ``sign`` is 0 when both measured displacements sit inside the noise
-    band, so a center is indistinguishable from focal values below the
-    integration accuracy.
-    """
-
-    sign: int
-    displacement: float
-    displacement_half: float
-    threshold: float
-
-
-def return_map_sign_probe(c: CanonicalParams, radius: float) -> SignProbe:
-    """Integrate one return at ``radius`` and ``radius/2`` and report the
-    displacement sign, 0 if below the noise threshold."""
-    if not 0.0 < radius <= 0.2:
-        raise ValueError(f"radius must lie in (0, 0.2], got {radius}")
-    d_full = section_displacement(c, radius, rel_tol=_PROBE_REL_TOL)
-    d_half = section_displacement(c, radius / 2.0, rel_tol=_PROBE_REL_TOL)
-    if abs(d_full) <= _PROBE_THRESHOLD and abs(d_half) <= _PROBE_THRESHOLD:
-        sign = 0
-    else:
-        lead = d_full if abs(d_full) >= abs(d_half) else d_half
-        sign = 1 if lead > 0.0 else -1
-    return SignProbe(
-        sign=sign,
-        displacement=d_full,
-        displacement_half=d_half,
-        threshold=_PROBE_THRESHOLD,
-    )
 
 
 def brentq(f, lo, hi, f_lo, f_hi, xtol=2e-12, rtol=4 * np.finfo(float).eps):
@@ -652,33 +623,28 @@ def brentq(f, lo, hi, f_lo, f_hi, xtol=2e-12, rtol=4 * np.finfo(float).eps):
     raise RuntimeError(f"no convergence after 100 iterations, last estimate {xcur!r}")
 
 
-def _scan(c: CanonicalParams, radii: list[float], rel_tol: float) -> list[float]:
-    """Displacement at each radius; NaN where the orbit does not return."""
+def _scan(c: CanonicalParams, radii: list[float]) -> list[float]:
+    """Displacement at each radius at ``_SCAN_REL_TOL``; NaN where the
+    orbit does not return."""
     disp = []
     for r in radii:
         try:
-            disp.append(section_displacement(c, r, rel_tol))
+            disp.append(section_displacement(c, r, _SCAN_REL_TOL))
         except (NoReturn, PreconditionViolated):
             disp.append(math.nan)
     return disp
 
 
-def _brackets(
-    c: CanonicalParams,
-    radii: list[float],
-    disp: list[float],
-    scan_rel_tol: float,
-    rel_tol: float,
-):
+def _brackets(c: CanonicalParams, radii: list[float], disp: list[float]):
     """Yield ``(lo, hi, f_lo, f_hi)`` for each sign change of the scan
-    that clears ``_NOISE_FLOOR`` and that the displacement at ``rel_tol``
-    confirms; each radius is mapped at most once."""
-    known = dict(zip(radii, disp)) if rel_tol == scan_rel_tol else {}
+    that clears ``_NOISE_FLOOR`` and that the displacement at
+    ``_REFINE_REL_TOL`` confirms; each radius is mapped at most once."""
+    known: dict[float, float] = {}
 
     def at(r: float) -> float:
         d = known.get(r)
         if d is None:
-            d = known[r] = section_displacement(c, r, rel_tol)
+            d = known[r] = section_displacement(c, r, _REFINE_REL_TOL)
         return d
 
     for i in range(len(radii) - 1):
@@ -701,12 +667,9 @@ def detect_limit_cycles(
     r_min: float,
     r_max: float,
     n_scan: int,
-    *,
-    rel_tol: float = 1e-8,
-    refine_rel_tol: float = 1e-10,
 ) -> LimitCycleReport:
-    """Scan the displacement over log-spaced radii and refine each sign
-    change to a periodic orbit.
+    """Scan the displacement over log-spaced radii at ``_SCAN_REL_TOL`` and
+    refine each sign change to a periodic orbit at ``_REFINE_REL_TOL``.
 
     Sign changes whose endpoints both sit under ``_NOISE_FLOOR`` are
     treated as integration noise (an exact center wobbles at the drift
@@ -718,12 +681,12 @@ def detect_limit_cycles(
     if n_scan < 2:
         raise ValueError(f"n_scan must be at least 2, got {n_scan}")
     radii = [float(r) for r in np.geomspace(r_min, r_max, n_scan)]
-    disp = _scan(c, radii, rel_tol)
+    disp = _scan(c, radii)
 
     cycles: list[CycleRecord] = []
-    for lo, hi, f_lo, f_hi in _brackets(c, radii, disp, rel_tol, refine_rel_tol):
+    for lo, hi, f_lo, f_hi in _brackets(c, radii, disp):
         root, d_root = brentq(
-            lambda r: section_displacement(c, r, refine_rel_tol),
+            lambda r: section_displacement(c, r, _REFINE_REL_TOL),
             lo,
             hi,
             f_lo,
@@ -750,31 +713,22 @@ def _two_cycle_shape(report: LimitCycleReport) -> bool:
     )
 
 
-def bautin_scenario(
-    b1: float,
-    a3: float,
-    delta_k: float,
-    delta_a1: float | None = None,
-    *,
-    r_min: float = 0.02,
-    r_max: float = 1.5,
-    n_scan: int = 30,
-    rel_tol: float = 1e-8,
-    refine_rel_tol: float = 1e-10,
-) -> BautinResult:
+def bautin_scenario(b1: float, a3: float, delta_k: float) -> BautinResult:
     """Two-stage construction of coexisting small cycles.
 
     Stage one perturbs K away from 1 (keeping a1 = K, b3 = 1, so the
     trace stays zero) to make the first focal value positive over a
     negative second one, which births a stable cycle.  Stage two lowers
-    a1 below K by ``delta_a1`` so the now-stable equilibrium sheds an
-    additional unstable inner cycle.
+    a1 below K by eps so the now-stable equilibrium sheds an additional
+    unstable inner cycle.
 
-    When ``delta_a1`` is None, eps is half the normal-form fold
-    omega L1**2 / (4 pi |L2|), read from stage one's frequency and first
-    focal value and the base's second, and shrunk by 0.6 up to five times
-    until the stage-two scan shows the two-cycle shape.  This mode
-    returns that shape or raises BadBase.
+    eps is half the normal-form fold omega L1**2 / (4 pi |L2|), read from
+    stage one's frequency and first focal value and the base's second,
+    and shrunk by 0.6 up to five times until the stage-two scan shows the
+    two-cycle shape.  Both stages scan the radii ``_BAUTIN_SCAN``.  The
+    result has that shape; a base or scan that cannot give it raises
+    BadBase.  A ``delta_k`` that leaves stage one without a positive K or
+    a positive determinant raises ValueError or PreconditionViolated.
     """
     base = CanonicalParams(a1=1.0, b1=b1, a3=a3, b3=1.0, K=1.0)
     try:
@@ -790,32 +744,22 @@ def bautin_scenario(
     k1 = 1.0 + delta_k
     stage1 = CanonicalParams(a1=k1, b1=b1, a3=a3, b3=1.0, K=k1)
     stage1_focal = closed_form_focal(stage1)
-    detect = lambda params: detect_limit_cycles(  # noqa: E731
-        params, r_min, r_max, n_scan, rel_tol=rel_tol, refine_rel_tol=refine_rel_tol
-    )
-    stage1_report = detect(stage1)
-
-    def with_eps(eps: float) -> CanonicalParams:
-        return CanonicalParams(a1=k1 - eps, b1=b1, a3=a3, b3=1.0, K=k1)
-
-    if delta_a1 is None:
-        shape1 = tuple(cyc.stability for cyc in stage1_report.cycles)
-        if shape1 != (CycleStability.STABLE,):
-            raise BadBase(
-                f"stage 1 of base (b1={b1}, a3={a3}, dK={delta_k}) needs exactly "
-                f"one stable cycle, found {[s.value for s in shape1]}"
-            )
-        # with d(r)/r ~ -pi*eps/omega + L1 r**2 + L2 r**4 two cycles exist for
-        # 0 < eps < omega L1**2 / (4 pi |L2|); take half that fold
-        omega = math.sqrt(jacobian(stage1).determinant)
-        eps = omega * stage1_focal.L1**2 / (8.0 * math.pi * abs(base_focal.L2))
-    else:
-        eps = delta_a1
+    stage1_report = detect_limit_cycles(stage1, *_BAUTIN_SCAN)
+    shape1 = tuple(cyc.stability for cyc in stage1_report.cycles)
+    if shape1 != (CycleStability.STABLE,):
+        raise BadBase(
+            f"stage 1 of base (b1={b1}, a3={a3}, dK={delta_k}) needs exactly "
+            f"one stable cycle, found {[s.value for s in shape1]}"
+        )
+    # with d(r)/r ~ -pi*eps/omega + L1 r**2 + L2 r**4 two cycles exist for
+    # 0 < eps < omega L1**2 / (4 pi |L2|); take half that fold
+    omega = jacobian(stage1).omega
+    eps = omega * stage1_focal.L1**2 / (8.0 * math.pi * abs(base_focal.L2))
 
     for _ in range(6):
-        stage2 = with_eps(eps)
-        stage2_report = detect(stage2)
-        if delta_a1 is not None or _two_cycle_shape(stage2_report):
+        stage2 = CanonicalParams(a1=k1 - eps, b1=b1, a3=a3, b3=1.0, K=k1)
+        stage2_report = detect_limit_cycles(stage2, *_BAUTIN_SCAN)
+        if _two_cycle_shape(stage2_report):
             break
         eps *= 0.6
     else:

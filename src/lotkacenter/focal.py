@@ -83,7 +83,7 @@ def closed_form_focal(c: CanonicalParams) -> FocalValues:
     det = summary.determinant
     if det <= 0.0:
         raise PreconditionViolated(f"determinant {det} is not positive")
-    root = math.sqrt(det)
+    root = summary.omega
 
     d_value = 1.0 + a3 - a3 * K - b3 * K
     bracket = b1 * d_value - a3 * (1.0 - b3) * K

@@ -144,11 +144,17 @@ def _det_tolerance(c: CanonicalParams) -> float:
     return 1e-12 * max(1.0, abs(c.a1 * c.K * c.b3) + abs(c.b1 * c.K * c.a3))
 
 
-def vector_field(c: CanonicalParams, pt: Point | tuple[float, float]) -> tuple[float, float]:
-    """Evaluate the canonical field at a strictly positive point."""
+def _positive_xy(pt: Point | tuple[float, float]) -> tuple[float, float]:
+    """The coordinates of a Point or pair, which must be strictly positive."""
     x, y = (pt.x, pt.y) if isinstance(pt, Point) else pt
     if not (x > 0.0 and y > 0.0):
         raise DomainError(f"point ({x}, {y}) is not strictly positive")
+    return x, y
+
+
+def vector_field(c: CanonicalParams, pt: Point | tuple[float, float]) -> tuple[float, float]:
+    """Evaluate the canonical field at a strictly positive point."""
+    x, y = _positive_xy(pt)
     fx = x**c.a1 * y**c.b1 - 1.0
     fy = c.K * (1.0 - x**c.a3 * y**c.b3)
     return fx, fy

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import CaseMismatch, DegenerateK, DomainError
-from .model import CLOSE_TOL, CanonicalParams, Point, close, vector_field
+from .errors import CaseMismatch, DegenerateK
+from .model import CLOSE_TOL, CanonicalParams, Point, _positive_xy, close, vector_field
 
 __all__ = [
     "TransformedField",
@@ -103,9 +103,7 @@ def r2_transform(c: CanonicalParams) -> TransformedField:
 def transformed_field_value(
     tfield: TransformedField, pt: Point | tuple[float, float]
 ) -> tuple[float, float]:
-    u, v = (pt.x, pt.y) if isinstance(pt, Point) else pt
-    if not (u > 0.0 and v > 0.0):
-        raise DomainError(f"point ({u}, {v}) is not strictly positive")
+    u, v = _positive_xy(pt)
     du = u**tfield.e_u1 - u**tfield.e_u2 * v**tfield.b1
     dv = -(v**tfield.e_v1) + u**tfield.b1 * v**tfield.e_v2
     return du, dv

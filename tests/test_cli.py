@@ -98,6 +98,30 @@ def test_tolerance_flags_are_gone(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+BAUTIN = ["bautin", "--b1", "-2", "--a3", "-3", "--dK", "0.02"]
+CYCLES = ["cycles", "--a1", "0.98", "--b1", "2", "--a3", "1", "--b3", "1", "--K", "0.98"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*BAUTIN, "--dA1", "3e-4"],
+        [*BAUTIN, "--r-min", "0.02"],
+        [*BAUTIN, "--r-max", "1.5"],
+        [*BAUTIN, "--n-scan", "30"],
+        [*BAUTIN, "--rel-tol", "1e-8"],
+        [*BAUTIN, "--refine-tol", "1e-10"],
+        [*CYCLES, "--rel-tol", "1e-8"],
+        [*CYCLES, "--refine-tol", "1e-10"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_cycle_flags_are_gone(capsys, argv):
+    # the cycle layer's scan window and tolerances are fixed module constants
+    assert run_cli(argv) == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("points", ["0", "-3"])
 @pytest.mark.parametrize(
     "argv",
@@ -269,7 +293,7 @@ def test_unopenable_out_is_a_usage_error(tmp_path, capsys, argv):
 
 
 def test_bautin_two_cycles(capsys):
-    argv = ["bautin", "--b1", "-2", "--a3", "-3", "--dK", "0.02", "--dA1", "3e-4"]
+    argv = ["bautin", "--b1", "-2", "--a3", "-3", "--dK", "0.02"]
     assert run_cli(argv) == 0
     out = capsys.readouterr().out
     assert "stage 1" in out
@@ -402,3 +426,16 @@ def test_cycles_rejects_infinite_r_max(capsys):
     captured = capsys.readouterr()
     assert "r_max" in captured.err
     assert "cycles =" not in captured.out
+
+
+@pytest.mark.parametrize("max_steps", ["0", "-5"])
+def test_simulate_rejects_non_positive_max_steps(capsys, max_steps):
+    argv = [
+        "simulate",
+        *("--a1", "1", "--b1", "2", "--a3", "1", "--b3", "1", "--K", "1"),
+        *("--x0", "1.2", "--y0", "1.0", "--t-max", "1", "--max-steps", max_steps),
+    ]
+    assert run_cli(argv) == 65
+    captured = capsys.readouterr()
+    assert "step_budget" in captured.err
+    assert "termination" not in captured.err

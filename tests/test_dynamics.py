@@ -26,7 +26,6 @@ from lotkacenter import (
     integrate,
     jacobian,
     poincare_return,
-    return_map_sign_probe,
     section_displacement,
 )
 from lotkacenter import dynamics
@@ -92,13 +91,14 @@ def test_return_time_approaches_linear_period():
 def test_no_return_on_escape():
     c = CanonicalParams(2.0, -1.0, -3.0, 1.0, 1.0)
     with pytest.raises(NoReturn) as err:
-        poincare_return(c, 1.8, periods_budget=8.0)
+        poincare_return(c, 1.8)
     assert "QuadrantEscape" in str(err.value)
 
 
-def test_no_return_on_small_budget():
+def test_no_return_on_small_budget(monkeypatch):
+    monkeypatch.setattr(dynamics, "_PERIODS_BUDGET", 0.05)
     with pytest.raises(NoReturn) as err:
-        poincare_return(LINEAR_CENTER, 1.3, periods_budget=0.05)
+        poincare_return(LINEAR_CENTER, 1.3)
     assert "TimeLimit" in str(err.value)
 
 
@@ -124,21 +124,32 @@ def test_rel_tol_validation():
         poincare_return(LINEAR_CENTER, 1.3, rel_tol=0.5)
 
 
+def _return_map_sign(c: CanonicalParams) -> tuple[int, float, float]:
+    """Sign of the larger of the displacements at radii 1e-2 and 5e-3
+    (0 when both are under 1e-9), and the two displacements."""
+    d_full = section_displacement(c, 1e-2, rel_tol=1e-10)
+    d_half = section_displacement(c, 5e-3, rel_tol=1e-10)
+    if abs(d_full) <= 1e-9 and abs(d_half) <= 1e-9:
+        return 0, d_full, d_half
+    lead = d_full if abs(d_full) >= abs(d_half) else d_half
+    return (1 if lead > 0.0 else -1), d_full, d_half
+
+
 def test_sign_probe_agrees_with_first_focal_value():
-    probe = return_map_sign_probe(CanonicalParams(2.0, -1.0, -3.0, 1.0, 2.0), 0.01)
-    assert probe.sign == 1
-    assert probe.displacement > probe.threshold
-    assert probe.displacement_half > probe.threshold
+    sign, d_full, d_half = _return_map_sign(CanonicalParams(2.0, -1.0, -3.0, 1.0, 2.0))
+    assert sign == 1
+    assert d_full > 1e-9
+    assert d_half > 1e-9
 
     count = 0
     for c in helpers.elliptic_draws(77, 200):
         fv = closed_form_focal(c)
         if abs(fv.L1) < 1e-2:
             continue
-        probe = return_map_sign_probe(c, 1e-2)
-        if probe.sign == 0:
+        sign, _, _ = _return_map_sign(c)
+        if sign == 0:
             continue
-        assert probe.sign == (1 if fv.L1 > 0 else -1), f"{c}"
+        assert sign == (1 if fv.L1 > 0 else -1), f"{c}"
         count += 1
         if count >= 25:
             break
@@ -322,18 +333,17 @@ def test_single_cycle_golden_bits():
 
 
 @pytest.mark.parametrize(
-    "c, radii, kwargs",
+    "c, radii",
     [
-        (CanonicalParams(0.98, 2.0, 1.0, 1.0, 0.98), (0.2, 1.4, 15), {}),
-        # refinement at the scan tolerance reuses the scan's values
-        (CanonicalParams(0.98, 2.0, 1.0, 1.0, 0.98), (0.2, 1.4, 15), {"refine_rel_tol": 1e-8}),
+        (CanonicalParams(0.98, 2.0, 1.0, 1.0, 0.98), (0.2, 1.4, 15)),
         # two cycles in adjacent scan intervals share the middle radius
-        (CanonicalParams(1.02 - 3e-4, -2.0, -3.0, 1.0, 1.02), (0.2, 1.5, 3), {}),
+        (CanonicalParams(1.02 - 3e-4, -2.0, -3.0, 1.0, 1.02), (0.2, 1.5, 3)),
     ],
+    ids=["one-cycle", "adjacent-cycles"],
 )
-def test_scan_maps_each_point_once(monkeypatch, c, radii, kwargs):
+def test_scan_maps_each_point_once(monkeypatch, c, radii):
     calls = _count_maps(monkeypatch)
-    rep = detect_limit_cycles(c, *radii, **kwargs)
+    rep = detect_limit_cycles(c, *radii)
     assert rep.cycles
     assert len(calls) == len(set(calls))
 
@@ -390,6 +400,12 @@ def test_step_rejects_stage_overflow_without_raising():
 def test_integrate_rejects_non_positive_t_max(t_max):
     with pytest.raises(ValueError, match="t_max"):
         integrate(WEAK_FOCUS, (1.2, 1.0), t_max)
+
+
+@pytest.mark.parametrize("step_budget", [0, -5])
+def test_integrate_rejects_non_positive_step_budget(step_budget):
+    with pytest.raises(ValueError, match="step_budget"):
+        integrate(WEAK_FOCUS, (1.2, 1.0), 1.0, step_budget=step_budget)
 
 
 @pytest.mark.parametrize(
