@@ -16,7 +16,6 @@ from .classifier import (
     CenterCase,
     CenterClassification,
     Verdict,
-    classification_record,
     classify,
     match_table_cases,
 )
@@ -25,7 +24,6 @@ from .conserved import (
     IntegralCase,
     build_integral,
     evaluate,
-    format_integral,
     gradient,
     invariance_residual,
 )
@@ -39,9 +37,6 @@ from .dynamics import (
     Trajectory,
     bautin_scenario,
     detect_limit_cycles,
-    format_cycle_report,
-    format_return_record,
-    format_trajectory,
     integrate,
     poincare_return,
     section_displacement,
@@ -67,7 +62,6 @@ from .focal import (
     LyapunovQuantities,
     TaylorField,
     closed_form_focal,
-    focal_record,
     lyapunov_numeric,
     taylor_expand,
 )
@@ -86,7 +80,6 @@ from .symmetry import (
     r1_residual,
     r2_residual,
     r2_transform,
-    reflection,
     transformed_field_value,
 )
 
@@ -131,16 +124,10 @@ __all__ = [
     "bautin_scenario",
     "build_integral",
     "canonicalize",
-    "classification_record",
     "classify",
     "closed_form_focal",
     "detect_limit_cycles",
     "evaluate",
-    "focal_record",
-    "format_cycle_report",
-    "format_integral",
-    "format_return_record",
-    "format_trajectory",
     "gradient",
     "integrate",
     "invariance_residual",
@@ -151,7 +138,6 @@ __all__ = [
     "r1_residual",
     "r2_residual",
     "r2_transform",
-    "reflection",
     "section_displacement",
     "taylor_expand",
     "transformed_field_value",

@@ -21,7 +21,6 @@ __all__ = [
     "CenterClassification",
     "Verdict",
     "classify",
-    "classification_record",
     "match_table_cases",
 ]
 
@@ -188,17 +187,3 @@ def classify(c: CanonicalParams) -> CenterClassification:
         witness=_center_witness(c, fv),
         focal=fv,
     )
-
-
-def classification_record(result: CenterClassification) -> str:
-    cases = ",".join(sorted(case.value for case in result.cases))
-    lines = [
-        f"verdict={result.verdict.value}",
-        f"cases={cases or 'none'}",
-        f"witness={result.witness}",
-    ]
-    if result.focal is not None:
-        l2 = "none" if result.focal.L2 is None else repr(result.focal.L2)
-        lines.append(f"L1={result.focal.L1!r}")
-        lines.append(f"L2={l2}")
-    return "\n".join(lines)

@@ -1,4 +1,5 @@
-"""Command-line frontend.
+"""Command-line frontend, and the one module that turns the library's
+result records into text.
 
 Exit codes: 0 center (or successful verification), 1 focus (or failed
 verification), 2 degenerate or non-elliptic equilibrium, 64 usage
@@ -13,23 +14,30 @@ import json
 import math
 import re
 import sys
+from dataclasses import fields
+from enum import Enum
 
 import numpy as np
 
-from .classifier import CenterCase, Verdict, classification_record, classify
-from .conserved import IntegralCase, build_integral, format_integral, invariance_residual
+from .classifier import CenterCase, CenterClassification, Verdict, classify
+from .conserved import (
+    FirstIntegral,
+    IntegralCase,
+    TermKind,
+    build_integral,
+    invariance_residual,
+)
 from .dynamics import (
     STEP_BUDGET_DEFAULT,
+    LimitCycleReport,
+    Trajectory,
     bautin_scenario,
     detect_limit_cycles,
-    format_cycle_report,
-    format_return_record,
-    format_trajectory,
     integrate,
     poincare_return,
 )
 from .errors import LotkaError
-from .focal import focal_record
+from .focal import FocalValues
 from .model import CanonicalParams, RawLotkaParams, canonicalize
 from .symmetry import r1_residual, r2_residual
 
@@ -135,10 +143,111 @@ def _open_out(path: str):
         raise _UsageError(f"cannot open --out {path}: {exc.strerror}") from exc
 
 
+# ---------------------------------------------------------------------------
+# Text rendering of the library's result records
+
+
+def _text(value) -> str:
+    """One value as every text output prints it."""
+    if isinstance(value, float):
+        return repr(float(value))  # a plain repr also for numpy scalars
+    if value is None:
+        return "none"
+    if isinstance(value, Enum):
+        return value.value
+    return str(value)
+
+
+def _render(pairs, sep: str = "=", join: str = "\n") -> str:
+    """Key/value pairs as ``key<sep>value`` items joined by ``join``."""
+    return join.join(f"{key}{sep}{_text(value)}" for key, value in pairs)
+
+
+def _focal_pairs(fv: FocalValues) -> list[tuple[str, object]]:
+    return [("L1", fv.L1), ("L2", fv.L2)]
+
+
+def _classification_text(result: CenterClassification) -> str:
+    pairs = [
+        ("verdict", result.verdict),
+        ("cases", ",".join(sorted(case.value for case in result.cases)) or None),
+        ("witness", result.witness),
+    ]
+    if result.focal is not None:
+        pairs += _focal_pairs(result.focal)
+    return _render(pairs)
+
+
+def _focal_text(fv: FocalValues) -> str:
+    return _render([*_focal_pairs(fv), ("D", fv.d_value), ("branch", fv.branch)])
+
+
+def _cycle_report_text(report: LimitCycleReport) -> str:
+    lines = [_render([("cycles", len(report.cycles))], " = ")]
+    for i, cyc in enumerate(report.cycles):
+        pairs = [
+            ("radius", cyc.radius),
+            ("section_x", 1.0 + cyc.radius),
+            ("residual", cyc.displacement),
+            ("stability", cyc.stability),
+        ]
+        lines.append(f"cycle[{i}]: " + _render(pairs, " = ", "  "))
+    signs = "".join(
+        "?" if not math.isfinite(d) else ("+" if d > 0 else "-" if d < 0 else "0")
+        for d in report.scan_displacements
+    )
+    lines.append(f"scan sign pattern over {len(report.scan_radii)} radii: {signs}")
+    return "\n".join(lines)
+
+
+def _trajectory_text(tr: Trajectory) -> str:
+    rows = ("\t".join(map(_text, (t, x, y))) for t, (x, y) in zip(tr.times, tr.points))
+    return "\n".join(["t\tx\ty", *rows])
+
+
+#: each first-integral term kind with its exponents in place
+_TERM_BODY = {
+    TermKind.POWER_X: "x^{x:g}",
+    TermKind.POWER_Y: "y^{y:g}",
+    TermKind.LOG_X: "ln(x)",
+    TermKind.LOG_Y: "ln(y)",
+    TermKind.MIXED_POWER: "x^{x:g} y^{y:g}",
+    TermKind.SUM_RECIP_POWER: "(1/x + 1/y)^{x:g}",
+    TermKind.SUM_POWER: "(x + y)^{x:g}",
+}
+
+
+def _integral_text(fi: FirstIntegral) -> str:
+    parts = []
+    for t in fi.terms:
+        s = _TERM_BODY[t.kind].format(x=t.x_exp, y=t.y_exp)
+        if t.coeff == -1.0:
+            s = f"-{s}"
+        elif t.coeff != 1.0:
+            s = f"{t.coeff:g}*{s}"
+        if parts:
+            s = f"- {s[1:]}" if s.startswith("-") else f"+ {s}"
+        parts.append(s)
+    f = fi.factor
+    if f.kind is TermKind.MIXED_POWER and f.x_exp == f.y_exp == 0.0:
+        h = "1"
+    else:
+        h = _TERM_BODY[f.kind].format(x=f.x_exp, y=f.y_exp)
+    return f"V(x, y) = {' '.join(parts)}   [integrating factor h = {h}]"
+
+
+def _print_verification(what: str, n_points: int, residual: float, tol: float) -> int:
+    """The residual line and the verdict line of both verify commands."""
+    print(f"max scaled {what} residual over {n_points} points = {residual:.3e}")
+    ok = residual <= tol
+    print("PASS" if ok else f"FAIL (tolerance {tol:g})")
+    return 0 if ok else 1
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     c = _params(args)
     result = classify(c)
-    print(classification_record(result))
+    print(_classification_text(result))
     if result.verdict is Verdict.CENTER:
         return EXIT_CENTER
     if result.verdict in (Verdict.FOCUS_STABLE, Verdict.FOCUS_UNSTABLE):
@@ -202,31 +311,32 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.rel_tol,
         step_budget=args.max_steps,
     )
-    text = format_trajectory(tr)
+    text = _trajectory_text(tr)
     if args.out == "-":
         print(text)
     else:
         with _open_out(args.out) as fh:
             fh.write(text + "\n")
-    print(
-        f"termination = {tr.termination.value}  accepted = {tr.n_accepted}  "
-        f"rejected = {tr.n_rejected}",
-        file=sys.stderr,
-    )
+    summary = [
+        ("termination", tr.termination),
+        ("accepted", tr.n_accepted),
+        ("rejected", tr.n_rejected),
+    ]
+    print(_render(summary, " = ", "  "), file=sys.stderr)
     return 0
 
 
 def _cmd_poincare(args: argparse.Namespace) -> int:
     c = _params(args)
     rec = poincare_return(c, args.x0, args.rel_tol)
-    print(format_return_record(rec))
+    print(_render(((f.name, getattr(rec, f.name)) for f in fields(rec)), " = "))
     return 0
 
 
 def _cmd_cycles(args: argparse.Namespace) -> int:
     c = _params(args)
     report = detect_limit_cycles(c, args.r_min, args.r_max, args.n_scan)
-    print(format_cycle_report(report))
+    print(_cycle_report_text(report))
     return 0
 
 
@@ -235,11 +345,8 @@ def _cmd_verify_integral(args: argparse.Namespace) -> int:
     pts = _sample_points(args.points, args.seed)
     fi = build_integral(_CASE_BY_NAME[args.case], c)
     residual = invariance_residual(fi, c, pts)
-    print(format_integral(fi))
-    print(f"max scaled gradient residual over {args.points} points = {residual:.3e}")
-    ok = residual <= args.tol
-    print("PASS" if ok else f"FAIL (tolerance {args.tol:g})")
-    return 0 if ok else 1
+    print(_integral_text(fi))
+    return _print_verification("gradient", args.points, residual, args.tol)
 
 
 def _cmd_verify_reversible(args: argparse.Namespace) -> int:
@@ -247,21 +354,18 @@ def _cmd_verify_reversible(args: argparse.Namespace) -> int:
     pts = _sample_points(args.points, args.seed)
     residual_fn = r1_residual if args.family == "r1" else r2_residual
     residual = residual_fn(c, pts)
-    print(f"max scaled {args.family} residual over {args.points} points = {residual:.3e}")
-    ok = residual <= args.tol
-    print("PASS" if ok else f"FAIL (tolerance {args.tol:g})")
-    return 0 if ok else 1
+    return _print_verification(args.family, args.points, residual, args.tol)
 
 
 def _cmd_bautin(args: argparse.Namespace) -> int:
     result = bautin_scenario(args.b1, args.a3, args.dK)
     print("# base (trace = 0, first focal value = 0)")
-    print(focal_record(result.base_focal))
+    print(_focal_text(result.base_focal))
     print("# stage 1: K perturbed, trace still 0")
-    print(focal_record(result.stage1_focal))
-    print(format_cycle_report(result.stage1_report))
-    print(f"# stage 2: a1 = K - eps, eps = {result.stage2_eps!r}")
-    print(format_cycle_report(result.stage2_report))
+    print(_focal_text(result.stage1_focal))
+    print(_cycle_report_text(result.stage1_report))
+    print(f"# stage 2: a1 = K - eps, eps = {_text(result.stage2_eps)}")
+    print(_cycle_report_text(result.stage2_report))
     return 0
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "TermKind",
     "build_integral",
     "evaluate",
-    "format_integral",
     "gradient",
     "invariance_residual",
 ]
@@ -229,44 +228,3 @@ def invariance_residual(
         scale = max(1.0, abs(gx * fx) + abs(gy * fy))
         worst = max(worst, abs(gx * fx + gy * fy) / scale)
     return worst
-
-
-def _format_term(t: Term) -> str:
-    if t.kind is TermKind.POWER_X:
-        body = f"x^{t.x_exp:g}"
-    elif t.kind is TermKind.POWER_Y:
-        body = f"y^{t.y_exp:g}"
-    elif t.kind is TermKind.LOG_X:
-        body = "ln(x)"
-    elif t.kind is TermKind.LOG_Y:
-        body = "ln(y)"
-    elif t.kind is TermKind.MIXED_POWER:
-        body = f"x^{t.x_exp:g} y^{t.y_exp:g}"
-    elif t.kind is TermKind.SUM_RECIP_POWER:
-        body = f"(1/x + 1/y)^{t.x_exp:g}"
-    else:
-        body = f"(x + y)^{t.x_exp:g}"
-    if t.coeff == 1.0:
-        return body
-    if t.coeff == -1.0:
-        return f"-{body}"
-    return f"{t.coeff:g}*{body}"
-
-
-def format_integral(fi: FirstIntegral) -> str:
-    parts = []
-    for i, t in enumerate(fi.terms):
-        s = _format_term(t)
-        if i == 0:
-            parts.append(s)
-        elif s.startswith("-"):
-            parts.append(f"- {s[1:]}")
-        else:
-            parts.append(f"+ {s}")
-    if fi.factor.kind is TermKind.SUM_POWER:
-        h = f"(x + y)^{fi.factor.x_exp:g}"
-    elif fi.factor.x_exp == 0.0 and fi.factor.y_exp == 0.0:
-        h = "1"
-    else:
-        h = f"x^{fi.factor.x_exp:g} y^{fi.factor.y_exp:g}"
-    return f"V(x, y) = {' '.join(parts)}   [integrating factor h = {h}]"

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import BadBase, IntegrationFailure, NoReturn, PreconditionViolated
 from .focal import FocalValues, closed_form_focal
-from .model import CanonicalParams, Point, close, jacobian
+from .model import CanonicalParams, Point, _positive_xy, close, jacobian
 
 __all__ = [
     "BautinResult",
@@ -51,9 +51,6 @@ __all__ = [
     "Trajectory",
     "bautin_scenario",
     "detect_limit_cycles",
-    "format_cycle_report",
-    "format_return_record",
-    "format_trajectory",
     "integrate",
     "poincare_return",
     "section_displacement",
@@ -447,9 +444,7 @@ def integrate(
     step_budget: int = STEP_BUDGET_DEFAULT,
 ) -> Trajectory:
     """Integrate forward for ``t_max`` time units, recording accepted steps."""
-    x0, y0 = (start.x, start.y) if isinstance(start, Point) else start
-    if not (x0 > 0.0 and y0 > 0.0):
-        raise PreconditionViolated(f"start ({x0}, {y0}) is not strictly positive")
+    x0, y0 = _positive_xy(start)
     if not t_max > 0.0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     if not step_budget >= 1:
@@ -464,40 +459,6 @@ def integrate(
         n_rejected=n_rej,
         termination=reason,
     )
-
-
-def format_trajectory(tr: Trajectory) -> str:
-    lines = ["t\tx\ty"]
-    for t, (x, y) in zip(tr.times, tr.points):
-        lines.append(f"{float(t)!r}\t{float(x)!r}\t{float(y)!r}")
-    return "\n".join(lines)
-
-
-def format_return_record(rec: ReturnRecord) -> str:
-    return "\n".join(
-        [
-            f"start_x = {rec.start_x!r}",
-            f"return_x = {rec.return_x!r}",
-            f"displacement = {rec.displacement!r}",
-            f"return_time = {rec.return_time!r}",
-            f"crossings = {rec.crossings}",
-        ]
-    )
-
-
-def format_cycle_report(report: LimitCycleReport) -> str:
-    lines = [f"cycles = {len(report.cycles)}"]
-    for i, cyc in enumerate(report.cycles):
-        lines.append(
-            f"cycle[{i}]: radius = {cyc.radius!r}  section_x = {1.0 + cyc.radius!r}  "
-            f"residual = {cyc.displacement!r}  stability = {cyc.stability.value}"
-        )
-    signs = "".join(
-        "?" if not math.isfinite(d) else ("+" if d > 0 else "-" if d < 0 else "0")
-        for d in report.scan_displacements
-    )
-    lines.append(f"scan sign pattern over {len(report.scan_radii)} radii: {signs}")
-    return "\n".join(lines)
 
 
 def _section_for(
@@ -559,7 +520,7 @@ def poincare_return(
     )
 
 
-def section_displacement(c: CanonicalParams, radius: float, rel_tol: float = 1e-9) -> float:
+def section_displacement(c: CanonicalParams, radius: float, rel_tol: float) -> float:
     """Displacement of one return, parameterized by radius = coord - 1."""
     return poincare_return(c, 1.0 + radius, rel_tol).displacement
 
@@ -726,9 +687,9 @@ def bautin_scenario(b1: float, a3: float, delta_k: float) -> BautinResult:
     stage one's frequency and first focal value and the base's second,
     and shrunk by 0.6 up to five times until the stage-two scan shows the
     two-cycle shape.  Both stages scan the radii ``_BAUTIN_SCAN``.  The
-    result has that shape; a base or scan that cannot give it raises
-    BadBase.  A ``delta_k`` that leaves stage one without a positive K or
-    a positive determinant raises ValueError or PreconditionViolated.
+    result has that shape; a base, a ``delta_k`` or a scan that cannot
+    give it raises BadBase.  That includes a ``delta_k`` that leaves stage
+    one without a finite positive K or a positive determinant.
     """
     base = CanonicalParams(a1=1.0, b1=b1, a3=a3, b3=1.0, K=1.0)
     try:
@@ -742,8 +703,14 @@ def bautin_scenario(b1: float, a3: float, delta_k: float) -> BautinResult:
         )
 
     k1 = 1.0 + delta_k
-    stage1 = CanonicalParams(a1=k1, b1=b1, a3=a3, b3=1.0, K=k1)
-    stage1_focal = closed_form_focal(stage1)
+    try:
+        stage1 = CanonicalParams(a1=k1, b1=b1, a3=a3, b3=1.0, K=k1)
+        stage1_focal = closed_form_focal(stage1)
+    except (ValueError, PreconditionViolated) as exc:
+        raise BadBase(
+            f"stage 1 of base (b1={b1}, a3={a3}, dK={delta_k}) is not an "
+            f"elliptic system: {exc}"
+        ) from exc
     stage1_report = detect_limit_cycles(stage1, *_BAUTIN_SCAN)
     shape1 = tuple(cyc.stability for cyc in stage1_report.cycles)
     if shape1 != (CycleStability.STABLE,):

@@ -27,7 +27,6 @@ __all__ = [
     "LyapunovQuantities",
     "TaylorField",
     "closed_form_focal",
-    "focal_record",
     "lyapunov_numeric",
     "taylor_expand",
 ]
@@ -138,11 +137,6 @@ def closed_form_focal(c: CanonicalParams) -> FocalValues:
         / (root * d_value * (1.0 - b3))
     )
     return FocalValues(L1=l1, L2=l2, d_value=d_value, branch=FocalBranch.CASE_B_D_NONZERO)
-
-
-def focal_record(fv: FocalValues) -> str:
-    l2 = "none" if fv.L2 is None else repr(fv.L2)
-    return f"L1={fv.L1!r}\nL2={l2}\nD={fv.d_value!r}\nbranch={fv.branch.value}"
 
 
 # ---------------------------------------------------------------------------

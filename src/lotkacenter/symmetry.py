@@ -21,14 +21,8 @@ __all__ = [
     "r1_residual",
     "r2_residual",
     "r2_transform",
-    "reflection",
     "transformed_field_value",
 ]
-
-
-def reflection(pt: Point | tuple[float, float]) -> tuple[float, float]:
-    x, y = (pt.x, pt.y) if isinstance(pt, Point) else pt
-    return y, x
 
 
 def _swap_residual(field, pts: list[Point] | list[tuple[float, float]]) -> float:
@@ -36,7 +30,7 @@ def _swap_residual(field, pts: list[Point] | list[tuple[float, float]]) -> float
     scaled by max(1, |field(p)|)."""
     worst = 0.0
     for pt in pts:
-        x, y = (pt.x, pt.y) if isinstance(pt, Point) else pt
+        x, y = _positive_xy(pt)
         g1, g2 = field((x, y))
         f1, f2 = field((y, x))
         scale = max(1.0, abs(g1), abs(g2))

@@ -8,12 +8,12 @@ from lotkacenter import (
     CenterCase,
     FocalBranch,
     Verdict,
-    classification_record,
     classify,
     jacobian,
     match_table_cases,
 )
 from lotkacenter.classifier import WITNESS_FACTORS
+from lotkacenter.cli import main
 
 ALL_CASES = (
     CenterCase.I,
@@ -150,10 +150,13 @@ def test_verdict_matches_case_membership():
             assert not r.cases, f"draw {i}"
 
 
-def test_classification_record_text():
-    text = classification_record(classify(CanonicalParams(0.0, 1.0, 1.0, 0.0, 3.0)))
+def test_classification_record_text(capsys):
+    # the CLI renders the record
+    assert main(["classify", "--a1", "0", "--b1", "1", "--a3", "1", "--b3", "0", "--K", "3"]) == 0
+    text = capsys.readouterr().out
     assert "verdict=Center" in text
     assert "cases=I" in text
     assert "witness=b3 = 0" in text
-    text = classification_record(classify(CanonicalParams(2.0, -1.0, -3.0, 1.0, 2.0)))
+    assert main(["classify", "--a1", "2", "--b1", "-1", "--a3", "-3", "--b3", "1", "--K", "2"]) == 1
+    text = capsys.readouterr().out
     assert "verdict=FocusUnstable" in text

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, robustness."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -146,6 +147,9 @@ def test_numeric_errors_exit_65(capsys):
         ["poincare", "--a1", "2", "--b1", "-1", "--a3", "-3", "--b3", "1", "--K", "1", "--x0", "1.8"]
     )
     assert code == 65
+    capsys.readouterr()
+    assert run_cli(["simulate", *CANON, "--x0", "0", "--y0", "1", "--t-max", "1"]) == 65
+    assert "not strictly positive" in capsys.readouterr().err
 
 
 def test_sweep_grid(tmp_path, capsys):
@@ -370,6 +374,123 @@ def test_cycle_commands_golden_output(capsys, argv, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+_K3 = repr(1.0 / 3.0)
+_K3_OFF = repr((1.0 / 3.0) * (1.0 + 1e-10))
+_SIMULATE_ERR = "termination = TimeLimit  accepted = 101  rejected = 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest, err",
+    [
+        pytest.param(
+            ["classify", *CANON],
+            0, "ae6a4948ecbdc917f0426c5e36f369d8fbf4957671b24351418d301128283274", "",
+            id="classify-center",
+        ),
+        pytest.param(
+            ["classify", "--a1", "1", "--b1", "2", "--a3", "1", "--b3", "1", "--K", "1"],
+            1, "9aaaf2af3297f90ad4d96b6ffa2bfa32667a54e1fb2bf4ce316909b818dd5056", "",
+            id="classify-focus",
+        ),
+        pytest.param(
+            ["classify", "--a1", "2", "--b1", "-1", "--a3", "-3", "--b3", "1", "--K", "2"],
+            1, "ebd72a3f0390d24844d645a9b1ef28e689744a34cb56bc9d90764dc3b959fff4", "",
+            id="classify-L2-none",
+        ),
+        pytest.param(
+            ["classify", "--a1", "1", "--b1", "1", "--a3", "1", "--b3", "1", "--K", "1"],
+            2, "549d49bb0563dd02e6284a1a6474a4f1fce059b65f31cf8044d0f51420b6c861", "",
+            id="classify-degenerate",
+        ),
+        pytest.param(
+            ["classify", "--a1", "2", "--b1", "1", "--a3", "1", "--b3", "1", "--K", "1"],
+            2, "56e9e2c88e86b5e51572d215b2ee06517607bdf587cf78c7390565582a05754c", "",
+            id="classify-not-elliptic",
+        ),
+        pytest.param(
+            [
+                "classify",
+                *("--k1", "1", "--k2", "1", "--k3", "1", "--k4", "1"),
+                *("--alpha1", "1", "--beta1", "0", "--alpha2", "1", "--beta2", "1"),
+                *("--alpha3", "0", "--beta3", "1"),
+            ],
+            0, "302ddae9fac6c983fdeaa88f713fdb1782b5cfa9334beffeebfeb153e13e8fb4", "",
+            id="classify-raw",
+        ),
+        pytest.param(
+            ["poincare", "--a1", "1", "--b1", "2", "--a3", "1", "--b3", "1", "--K", "1", "--x0", "1.05"],
+            0, "19c6f80f7d946aa3afffffa8da56ee49b76f11bf71831f17d1c0826f6d05d953", "",
+            id="poincare",
+        ),
+        pytest.param(
+            [
+                "simulate",
+                *("--a1", "0", "--b1", "1", "--a3", "1", "--b3", "0", "--K", "1"),
+                *("--x0", "1.3", "--y0", "1.0", "--t-max", "2.0"),
+            ],
+            0, "d0c8efe5155f9bd6744d00dd8fc631c651482ad9a06f72d5368c599d5fd3e2e0", _SIMULATE_ERR,
+            id="simulate",
+        ),
+        pytest.param(
+            ["verify-integral", "--case", "i", "--a1", "0", "--b1", "1", "--a3", "1", "--b3", "0", "--K", "2"],
+            0, "76a1ce268c11cd55c05160b5d00fd6f4a0027649ff9a8905ab5672ec6af26bf8", "",
+            id="verify-integral-i",
+        ),
+        pytest.param(
+            ["verify-integral", "--case", "ii", "--a1", "0.3", "--b1", "-0.6", "--a3", "-0.7", "--b3", "0.4", "--K", "0.75"],
+            0, "cb8b61da80fa573ae7c431dbfb9ee4b0113b5abc6f31b12ec5078654005a5da1", "",
+            id="verify-integral-ii",
+        ),
+        pytest.param(
+            ["verify-integral", "--case", "iii", "--a1", "1", "--b1", "-2", "--a3", "-1", "--b3", "1", "--K", "1"],
+            0, "55773b2ef471257d53443d54a374c64876c1ef42190966d4bd04a2d3d6251a88", "",
+            id="verify-integral-iii",
+        ),
+        pytest.param(
+            ["verify-integral", "--case", "iv", "--a1", "1", "--b1", "-1", "--a3", "-3", "--b3", "2", "--K", "0.5"],
+            0, "3f3a44528891e930ffc80af85cfb6aba35d43bb541813a76e0b30eb8a349fb18", "",
+            id="verify-integral-iv",
+        ),
+        pytest.param(
+            [
+                "verify-integral",
+                *("--case", "iv", "--a1", "1", "--b1", "-1", "--a3", "-3", "--b3", "2", "--K", "0.5"),
+                *("--tol", "1e-30"),
+            ],
+            1, "a89ebfb2dd51bdd3a849513c9f37dfd79cbd51ed8834b466d71f55df5987387d", "",
+            id="verify-integral-iv-fail",
+        ),
+        pytest.param(
+            ["verify-integral", "--case", "r1r2", "--a1", "0.5", "--b1", "-1.5", "--a3", "-1.5", "--b3", "0.5", "--K", "1"],
+            0, "3439ede5cae635c5215c7c92705754fc0bdf513d4678a29c617397dc9991da30", "",
+            id="verify-integral-r1r2",
+        ),
+        pytest.param(
+            ["verify-reversible", "--family", "r1", "--a1", "0.5", "--b1", "2", "--a3", "2", "--b3", "0.5", "--K", "1"],
+            0, "8206f4621467481effb10998bab08122d354e9e65021b4cfcc40dcc569a54a80", "",
+            id="verify-reversible-r1",
+        ),
+        pytest.param(
+            ["verify-reversible", "--family", "r2", "--a1", _K3, "--b1", "-3", "--a3", "-1", "--b3", "1", "--K", _K3],
+            0, "ff7f261f62d37a187f401caccd4dc71ea5125185ade331ab8e05e8ca1ab02d85", "",
+            id="verify-reversible-r2",
+        ),
+        pytest.param(
+            ["verify-reversible", "--family", "r2", "--a1", _K3_OFF, "--b1", "-3", "--a3", "-1", "--b3", "1", "--K", _K3_OFF],
+            1, "2cdb5b9a6c46ec97e7e0f0c889beea5780280b343b489d15b1f4d49f8914fca7", "",
+            id="verify-reversible-r2-fail",
+        ),
+    ],
+)
+def test_text_commands_golden_output(capsys, argv, code, digest, err):
+    # sha256 of stdout, the exact stderr and the exit code of every other
+    # text-emitting command, pinned before the renderers moved into the CLI
+    assert run_cli(argv) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert captured.err == err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy's import alone used to double the CLI's start-up time
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -386,24 +507,32 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def _readme_invocations():
+    """Each documented command with the ``# `` lines right below it, the
+    stdout the README shows for it (empty when it shows none)."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     text = re.sub(r"\\\n\s*", " ", text)  # join backslash-continued lines
-    return [
-        shlex.split(line.strip())[1:]
-        for line in text.splitlines()
-        if line.strip().startswith("lotkacenter ")
-    ]
+    lines = [line.strip() for line in text.splitlines()]
+    invocations = []
+    for i, line in enumerate(lines):
+        if line.startswith("lotkacenter "):
+            shown = itertools.takewhile(lambda s: s.startswith("# "), lines[i + 1 :])
+            invocations.append((shlex.split(line)[1:], [s[2:] for s in shown]))
+    return invocations
 
 
 def test_readme_invocations_run(capsys):
-    # every documented command parses and reaches a verdict or a verification
+    # every documented command parses and reaches a verdict or a verification,
+    # and prints exactly the output the README shows below it
     invocations = _readme_invocations()
     assert len(invocations) >= 9
     # the raw-form example continues over two lines
-    assert any("--k1" in argv and "--beta3" in argv for argv in invocations)
-    for argv in invocations:
+    assert any("--k1" in argv and "--beta3" in argv for argv, _ in invocations)
+    assert any(shown for _, shown in invocations)
+    for argv, shown in invocations:
         assert run_cli(argv) in {0, 1, 2}, argv
-    capsys.readouterr()
+        out = capsys.readouterr().out
+        if shown:
+            assert out.splitlines() == shown, argv
 
 
 def test_simulate_rejects_nan_t_max(capsys):

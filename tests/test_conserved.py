@@ -15,12 +15,12 @@ from lotkacenter import (
     NoKnownIntegral,
     build_integral,
     evaluate,
-    format_integral,
     gradient,
     integrate,
     invariance_residual,
     match_table_cases,
 )
+from lotkacenter.cli import main
 from lotkacenter.conserved import TermKind
 from lotkacenter.dynamics import brentq
 
@@ -219,10 +219,11 @@ def test_orbit_follows_level_set():
     assert checked >= 30
 
 
-def test_format_integral_text():
-    fi = build_integral(CenterCase.I, CanonicalParams(0.0, 1.0, 1.0, 0.0, 1.0))
-    text = format_integral(fi)
+def test_format_integral_text(capsys):
+    # verify-integral prints the integral the CLI renders as its first line
+    assert main(["verify-integral", "--case", "i", "--a1", "0", "--b1", "1", "--a3", "1", "--b3", "0", "--K", "1"]) == 0
+    text = capsys.readouterr().out
     assert text.startswith("V(x, y) = ")
     assert "integrating factor" in text
-    fi = build_integral(IntegralCase.R1_CAP_R2, CanonicalParams(0.0, -2.0, -2.0, 0.0, 1.0))
-    assert "(x + y)" in format_integral(fi)
+    assert main(["verify-integral", "--case", "r1r2", "--a1", "0", "--b1", "-2", "--a3", "-2", "--b3", "0", "--K", "1"]) == 0
+    assert "(x + y)" in capsys.readouterr().out.splitlines()[0]

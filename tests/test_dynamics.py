@@ -13,6 +13,7 @@ from lotkacenter import (
     CanonicalParams,
     CenterCase,
     CycleStability,
+    DomainError,
     NoReturn,
     TerminationReason,
     bautin_scenario,
@@ -20,18 +21,17 @@ from lotkacenter import (
     closed_form_focal,
     detect_limit_cycles,
     evaluate,
-    format_cycle_report,
-    format_return_record,
-    format_trajectory,
     integrate,
     jacobian,
     poincare_return,
     section_displacement,
 )
 from lotkacenter import dynamics
+from lotkacenter.cli import main
 from lotkacenter.dynamics import brentq
 
 LINEAR_CENTER = CanonicalParams(0.0, 1.0, 1.0, 0.0, 1.0)
+LINEAR_CENTER_FLAGS = ["--a1", "0", "--b1", "1", "--a3", "1", "--b3", "0", "--K", "1"]
 WEAK_FOCUS = CanonicalParams(1.0, 2.0, 1.0, 1.0, 1.0)
 
 
@@ -176,9 +176,11 @@ def test_scan_records_no_return_radii_as_nan():
     assert any(math.isnan(d) for d in rep.scan_displacements)
 
 
-def test_format_trajectory_is_plain_tsv():
-    tr = integrate(LINEAR_CENTER, (1.3, 1.0), t_max=0.5)
-    text = format_trajectory(tr)
+def test_format_trajectory_is_plain_tsv(capsys):
+    # the CLI renders the trajectory
+    argv = ["simulate", *LINEAR_CENTER_FLAGS, "--x0", "1.3", "--y0", "1.0", "--t-max", "0.5"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
     lines = text.splitlines()
     assert lines[0] == "t\tx\ty"
     assert "np." not in text
@@ -186,17 +188,18 @@ def test_format_trajectory_is_plain_tsv():
     assert (t, x, y) == (0.0, 1.3, 1.0)
 
 
-def test_format_return_record_text():
-    rec = poincare_return(LINEAR_CENTER, 1.3)
-    text = format_return_record(rec)
+def test_format_return_record_text(capsys):
+    assert main(["poincare", *LINEAR_CENTER_FLAGS, "--x0", "1.3"]) == 0
+    text = capsys.readouterr().out
     assert "start_x = 1.3" in text
     assert "displacement = " in text
     assert "crossings = 2" in text
 
 
-def test_format_cycle_report_text():
-    rep = detect_limit_cycles(CanonicalParams(0.98, 2.0, 1.0, 1.0, 0.98), 0.4, 1.4, 8)
-    text = format_cycle_report(rep)
+def test_format_cycle_report_text(capsys):
+    argv = ["cycles", "--a1", "0.98", "--b1", "2", "--a3", "1", "--b3", "1", "--K", "0.98"]
+    assert main([*argv, "--r-min", "0.4", "--r-max", "1.4", "--n-scan", "8"]) == 0
+    text = capsys.readouterr().out
     assert "cycles = 1" in text
     assert "Stable" in text
     assert "sign pattern" in text
@@ -327,6 +330,13 @@ def test_bautin_bad_base_raises(b1, a3, delta_k):
         bautin_scenario(b1, a3, delta_k)
 
 
+@pytest.mark.parametrize("delta_k", [6.0, -1.0, -2.0, math.nan, math.inf])
+def test_bautin_bad_delta_k_is_bad_base(delta_k):
+    # a stage 1 with det <= 0, K <= 0 or a non-finite K is a bad base too
+    with pytest.raises(BadBase, match="dK="):
+        bautin_scenario(-2.0, -3.0, delta_k)
+
+
 def test_single_cycle_golden_bits():
     rep = detect_limit_cycles(CanonicalParams(0.98, 2.0, 1.0, 1.0, 0.98), 0.2, 1.4, 15)
     assert _cycle_hex(rep) == [("0x1.e4052af7094a5p-1", "0x1.5800000000000p-46", "Stable")]
@@ -400,6 +410,12 @@ def test_step_rejects_stage_overflow_without_raising():
 def test_integrate_rejects_non_positive_t_max(t_max):
     with pytest.raises(ValueError, match="t_max"):
         integrate(WEAK_FOCUS, (1.2, 1.0), t_max)
+
+
+@pytest.mark.parametrize("start", [(0.0, 1.0), (1.2, -1.0), (math.nan, 1.0)])
+def test_integrate_rejects_non_positive_start(start):
+    with pytest.raises(DomainError, match="not strictly positive"):
+        integrate(WEAK_FOCUS, start, 1.0)
 
 
 @pytest.mark.parametrize("step_budget", [0, -5])

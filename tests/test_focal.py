@@ -12,12 +12,12 @@ from lotkacenter import (
     InsufficientDegree,
     PreconditionViolated,
     closed_form_focal,
-    focal_record,
     lyapunov_numeric,
     taylor_expand,
     vector_field,
 )
 from lotkacenter import focal
+from lotkacenter.cli import main
 
 
 def _poly_eval(tf, u, v):
@@ -185,9 +185,10 @@ def test_d_value_factors_on_unit_stratum():
         assert fv.d_value == pytest.approx((1.0 + c.a3) * (1.0 - c.K), abs=1e-12), f"draw {i}"
 
 
-def test_focal_record_text():
-    fv = closed_form_focal(CanonicalParams(1.0, 2.0, 1.0, 1.0, 1.0))
-    text = focal_record(fv)
+def test_focal_record_text(capsys):
+    # the CLI renders focal records for the bautin base, a CaseC2 system
+    assert main(["bautin", "--b1", "-2", "--a3", "-3", "--dK", "0.02"]) == 0
+    text = capsys.readouterr().out
     assert "L1" in text
     assert "L2" in text
     assert "CaseC2" in text
