@@ -44,7 +44,6 @@ from .dynamics import (
 from .errors import (
     BadBase,
     CaseMismatch,
-    DegenerateK,
     DomainError,
     InsufficientDegree,
     IntegrationFailure,
@@ -94,7 +93,6 @@ __all__ = [
     "CenterClassification",
     "CycleRecord",
     "CycleStability",
-    "DegenerateK",
     "DomainError",
     "EigenvalueKind",
     "FirstIntegral",

@@ -50,6 +50,18 @@ class CenterClassification:
     focal: FocalValues | None
 
 
+def _r2_equalities(c: CanonicalParams) -> bool:
+    """The equalities of the second reversible family: a1 = K*b3,
+    a3 = K*b1 and K = 1/(b3 - b1 - 1) with b3 - b1 - 1 > 0."""
+    denom = c.b3 - c.b1 - 1.0
+    return (
+        denom > 0.0
+        and close(c.a1, c.K * c.b3)
+        and close(c.a3, c.K * c.b1)
+        and close(c.K, 1.0 / denom)
+    )
+
+
 def match_table_cases(c: CanonicalParams) -> frozenset[CenterCase]:
     """All center families whose equalities hold within ``CLOSE_TOL`` and
     whose strict inequalities hold strictly.  Families overlap, so the result
@@ -90,14 +102,7 @@ def match_table_cases(c: CanonicalParams) -> frozenset[CenterCase]:
         and abs(a1) < abs(b1)
     ):
         out.add(CenterCase.R1)
-    denom = b3 - b1 - 1.0
-    if (
-        denom > 0.0
-        and close(a1, K * b3)
-        and close(a3, K * b1)
-        and close(K, 1.0 / denom)
-        and abs(b3) < abs(b1)
-    ):
+    if _r2_equalities(c) and abs(b3) < abs(b1):
         out.add(CenterCase.R2)
     return frozenset(out)
 
@@ -139,7 +144,9 @@ def _center_witness(c: CanonicalParams, fv: FocalValues) -> str:
 def classify(c: CanonicalParams) -> CenterClassification:
     """Full verdict for one parameter set.
 
-    Degenerate or non-elliptic linearizations short-circuit; otherwise
+    ``jacobian`` alone decides the linearization: ZERO_EIGENVALUE gives
+    DegenerateDetZero, NOT_ELLIPTIC gives NotElliptic, and a linearization
+    that is not finite raises PreconditionViolated.  Otherwise
     the closed-form focal values decide focus versus center, and the
     center verdict must be corroborated by at least one family match or
     an ``InternalInconsistency`` is raised.

@@ -445,8 +445,8 @@ def integrate(
 ) -> Trajectory:
     """Integrate forward for ``t_max`` time units, recording accepted steps."""
     x0, y0 = _positive_xy(start)
-    if not t_max > 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if not step_budget >= 1:
         raise ValueError(f"step_budget must be at least 1, got {step_budget}")
     reason, _, (n_acc, n_rej), (times, pts), _ = _drive(

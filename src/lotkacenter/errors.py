@@ -45,11 +45,6 @@ class NoKnownIntegral(LotkaError):
     """No closed-form first integral is available for these parameters."""
 
 
-class DegenerateK(LotkaError):
-    """The time-scale ratio K is undefined or degenerate for the
-    requested construction."""
-
-
 class InternalInconsistency(LotkaError):
     """Two routes that must agree produced contradictory answers."""
 

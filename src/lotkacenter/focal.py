@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InsufficientDegree, InternalInconsistency, PreconditionViolated
-from .model import CLOSE_TOL, CanonicalParams, close, jacobian, trace_tolerance
+from .model import CLOSE_TOL, CanonicalParams, EigenvalueKind, close, jacobian
 
 __all__ = [
     "FocalBranch",
@@ -64,25 +64,27 @@ class FocalValues:
     branch: FocalBranch
 
 
+def _require_elliptic(c: CanonicalParams) -> float:
+    """omega of a PURELY_IMAGINARY ``jacobian(c)``; other kinds raise."""
+    js = jacobian(c)
+    if js.eigenvalue_kind is not EigenvalueKind.PURELY_IMAGINARY:
+        raise PreconditionViolated(
+            f"linearization is {js.eigenvalue_kind.value}: trace {js.trace}, det {js.determinant}"
+        )
+    return js.omega
+
+
 def closed_form_focal(c: CanonicalParams) -> FocalValues:
     """Exact first and second focal values for a trace-free elliptic point.
 
-    Requires trace = 0 (within ``trace_tolerance``) and det > 0; both are
-    checked.  When L1 vanishes the branch for L2 is decided on the
+    Raises PreconditionViolated unless ``jacobian`` calls the linearization
+    PURELY_IMAGINARY.  When L1 vanishes the branch for L2 is decided on the
     algebra: b3 = 0 and the (b3 = 1, a3 = -1) corner force L2 = 0, the
     (b3 = 1, K = 1) corner has its own quartic product formula, and the
     generic branch (D != 0, b3 not in {0, 1}) has the six-factor formula.
     """
     a1, b1, a3, b3, K = c.a1, c.b1, c.a3, c.b3, c.K
-    summary = jacobian(c)
-    if abs(summary.trace) > trace_tolerance(c):
-        raise PreconditionViolated(
-            f"trace {summary.trace} is not zero within tolerance"
-        )
-    det = summary.determinant
-    if det <= 0.0:
-        raise PreconditionViolated(f"determinant {det} is not positive")
-    root = summary.omega
+    root = _require_elliptic(c)
 
     d_value = 1.0 + a3 - a3 * K - b3 * K
     bracket = b1 * d_value - a3 * (1.0 - b3) * K
@@ -128,7 +130,7 @@ def closed_form_focal(c: CanonicalParams) -> FocalValues:
         )
     l2 = (
         (math.pi / 288.0)
-        * (a3 + b3) ** 2
+        * ((a3 + b3) * (a3 + b3))
         * b3
         * (1.0 + a3 - b3 * K)
         * (1.0 - b3 * K)
@@ -149,12 +151,13 @@ class TaylorField:
 
     With u = x - 1 and v = y - 1, the coefficient of u**i v**j is
     ``fx[i, j]`` in the first component and ``fy[i, j]`` in the second.
-    Entries with i + j > degree are zero.
+    Entries with i + j > degree are zero.  ``params`` is the expanded system.
     """
 
     degree: int
     fx: np.ndarray
     fy: np.ndarray
+    params: CanonicalParams
 
     def __post_init__(self) -> None:
         self.fx.setflags(write=False)
@@ -191,7 +194,7 @@ def taylor_expand(c: CanonicalParams, degree: int) -> TaylorField:
     over = _over_cap(n)
     fx[over] = 0.0
     fy[over] = 0.0
-    return TaylorField(degree=n, fx=fx, fy=fy)
+    return TaylorField(degree=n, fx=fx, fy=fy, params=c)
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +267,15 @@ def _complexified_field(tf: TaylorField, cap: int) -> tuple[float, np.ndarray]:
     brought to a rotation by the substitution p = (a*u + b*v)/omega,
     q = u, and the complex variable z = p + i*q then satisfies
     dz/dt = i*omega*z + f(z, conj z).  Returns (omega, coefficients of f)
-    where f has no constant or linear part.
+    where f has no constant or linear part.  ``jacobian`` of the expanded
+    system must be PURELY_IMAGINARY; omega comes from the Taylor part.
     """
+    _require_elliptic(tf.params)
     a = float(tf.fx[1, 0])
     b = float(tf.fx[0, 1])
     cc = float(tf.fy[1, 0])
     d = float(tf.fy[0, 1])
-    det = a * d - b * cc
-    if det <= 0.0:
-        raise PreconditionViolated(f"determinant {det} is not positive")
-    if not close(a, -d):
-        raise PreconditionViolated(f"trace {a + d} is not zero within tolerance")
-    if b == 0.0:
-        raise PreconditionViolated("fx[0,1] = 0 makes the eigenbasis singular")
-    omega = math.sqrt(det)
+    omega = math.sqrt(a * d - b * cc)
 
     # u, v as polynomials in (p, q): u = q, v = (omega*p - a*q)/b
     V = np.zeros((cap + 1, cap + 1))
@@ -332,7 +330,8 @@ def lyapunov_numeric(tf: TaylorField, order: int) -> LyapunovQuantities:
     eta_{k+1} / omega, the per-unit-frequency normalization that makes
     values comparable across parameter sets.
 
-    Needs tf.degree >= 2*order + 1.
+    Needs tf.degree >= 2*order + 1 (else InsufficientDegree) and a
+    PURELY_IMAGINARY ``jacobian(tf.params)`` (else PreconditionViolated).
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")

@@ -17,7 +17,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NonIsolatedEquilibrium, NoPositiveEquilibrium
+from .errors import (
+    DomainError,
+    NonIsolatedEquilibrium,
+    NoPositiveEquilibrium,
+    PreconditionViolated,
+)
 
 __all__ = [
     "CLOSE_TOL",
@@ -29,7 +34,6 @@ __all__ = [
     "canonicalize",
     "close",
     "jacobian",
-    "trace_tolerance",
     "vector_field",
 ]
 
@@ -38,9 +42,9 @@ __all__ = [
 CLOSE_TOL = 1e-9
 
 
-def close(u: float, v: float, tol: float = CLOSE_TOL) -> bool:
-    """Relative equality: |u - v| <= tol * (1 + |u| + |v|)."""
-    return abs(u - v) <= tol * (1.0 + abs(u) + abs(v))
+def close(u: float, v: float) -> bool:
+    """Relative equality: |u - v| <= CLOSE_TOL * (1 + |u| + |v|)."""
+    return abs(u - v) <= CLOSE_TOL * (1.0 + abs(u) + abs(v))
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -119,10 +123,8 @@ class CanonicalParams:
 
 class EigenvalueKind(Enum):
     PURELY_IMAGINARY = "PurelyImaginary"
-    REAL_DISTINCT = "RealDistinct"
-    REAL_REPEATED = "RealRepeated"
-    COMPLEX_WITH_REAL_PART = "ComplexWithRealPart"
     ZERO_EIGENVALUE = "ZeroEigenvalue"
+    NOT_ELLIPTIC = "NotElliptic"
 
 
 @dataclass(frozen=True)
@@ -133,15 +135,6 @@ class JacobianSummary:
     determinant: float
     omega: float
     eigenvalue_kind: EigenvalueKind
-
-
-def trace_tolerance(c: CanonicalParams) -> float:
-    """Scale-aware threshold below which the trace counts as zero."""
-    return 1e-12 * (1.0 + abs(c.a1) + c.K * abs(c.b3))
-
-
-def _det_tolerance(c: CanonicalParams) -> float:
-    return 1e-12 * max(1.0, abs(c.a1 * c.K * c.b3) + abs(c.b1 * c.K * c.a3))
 
 
 def _positive_xy(pt: Point | tuple[float, float]) -> tuple[float, float]:
@@ -161,32 +154,33 @@ def vector_field(c: CanonicalParams, pt: Point | tuple[float, float]) -> tuple[f
 
 
 def jacobian(c: CanonicalParams) -> JacobianSummary:
-    """Linearization summary at (1, 1).
+    """Linearization summary at (1, 1), and the one test of ellipticity.
 
     The Jacobian there is [[a1, b1], [-K*a3, -K*b3]], so
-    trace = a1 - K*b3 and det = K*(a3*b1 - a1*b3).
+    trace = a1 - K*b3 and det = K*(a3*b1 - a1*b3).  The kind is
+    ZERO_EIGENVALUE when |det| <= 1e-12 * max(1, |a1*K*b3| + |b1*K*a3|),
+    PURELY_IMAGINARY when otherwise det > 0 and
+    |trace| <= 1e-12 * (1 + |a1| + K*|b3|), and NOT_ELLIPTIC in every other
+    case.  Raises PreconditionViolated when the trace, the determinant or
+    either threshold is not finite.
     """
     tr = c.a1 - c.K * c.b3
     det = c.K * (c.a3 * c.b1 - c.a1 * c.b3)
+    tr_tol = 1e-12 * (1.0 + abs(c.a1) + c.K * abs(c.b3))
+    det_tol = 1e-12 * max(1.0, abs(c.a1 * c.K * c.b3) + abs(c.b1 * c.K * c.a3))
+    finite = math.isfinite
+    if not (finite(tr) and finite(det) and finite(tr_tol) and finite(det_tol)):
+        raise PreconditionViolated(
+            f"linearization of {c} is not finite: trace {tr}, determinant {det}"
+        )
     omega = math.sqrt(det) if det > 0.0 else 0.0
 
-    if abs(det) <= _det_tolerance(c):
+    if abs(det) <= det_tol:
         kind = EigenvalueKind.ZERO_EIGENVALUE
+    elif det > 0.0 and abs(tr) <= tr_tol:
+        kind = EigenvalueKind.PURELY_IMAGINARY
     else:
-        disc = tr * tr - 4.0 * det
-        disc_tol = 1e-12 * max(1.0, tr * tr + 4.0 * abs(det))
-        if abs(tr) <= trace_tolerance(c):
-            kind = (
-                EigenvalueKind.PURELY_IMAGINARY
-                if det > 0.0
-                else EigenvalueKind.REAL_DISTINCT
-            )
-        elif abs(disc) <= disc_tol:
-            kind = EigenvalueKind.REAL_REPEATED
-        elif disc > 0.0:
-            kind = EigenvalueKind.REAL_DISTINCT
-        else:
-            kind = EigenvalueKind.COMPLEX_WITH_REAL_PART
+        kind = EigenvalueKind.NOT_ELLIPTIC
     return JacobianSummary(trace=tr, determinant=det, omega=omega, eigenvalue_kind=kind)
 
 

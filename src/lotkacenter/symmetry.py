@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import CaseMismatch, DegenerateK
-from .model import CLOSE_TOL, CanonicalParams, Point, _positive_xy, close, vector_field
+from .classifier import _r2_equalities
+from .errors import CaseMismatch
+from .model import CanonicalParams, Point, _positive_xy, vector_field
 
 __all__ = [
     "TransformedField",
@@ -69,20 +70,12 @@ class TransformedField:
 def r2_transform(c: CanonicalParams) -> TransformedField:
     """Build the reversible form for the second reversible family.
 
-    Requires a1 = K*b3, a3 = K*b1 and K = 1/(b3 - b1 - 1) within
-    tolerance; raises CaseMismatch otherwise and DegenerateK when the
-    defining denominator b3 - b1 - 1 is not positive.
+    Requires the family's equalities as the classifier tests them:
+    a1 = K*b3, a3 = K*b1 and K = 1/(b3 - b1 - 1) within ``CLOSE_TOL``,
+    with b3 - b1 - 1 > 0.  Raises CaseMismatch otherwise, a non-positive
+    denominator included.
     """
-    denom = c.b3 - c.b1 - 1.0
-    if denom <= CLOSE_TOL:
-        raise DegenerateK(
-            f"b3 - b1 - 1 = {denom} must be positive for the transform"
-        )
-    if not (
-        close(c.a1, c.K * c.b3)
-        and close(c.a3, c.K * c.b1)
-        and close(c.K, 1.0 / denom)
-    ):
+    if not _r2_equalities(c):
         raise CaseMismatch(f"{c} does not satisfy the second reversible family")
     return TransformedField(
         e_u1=1.0 - 1.0 / c.K + c.b3,

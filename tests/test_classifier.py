@@ -1,5 +1,7 @@
 """Six-case matching and the center/focus verdict."""
 
+import itertools
+
 import pytest
 
 import helpers
@@ -7,10 +9,15 @@ from lotkacenter import (
     CanonicalParams,
     CenterCase,
     FocalBranch,
+    LotkaError,
+    PreconditionViolated,
     Verdict,
     classify,
+    closed_form_focal,
     jacobian,
+    lyapunov_numeric,
     match_table_cases,
+    taylor_expand,
 )
 from lotkacenter.classifier import WITNESS_FACTORS
 from lotkacenter.cli import main
@@ -91,6 +98,48 @@ def test_classify_degenerate_determinant():
 def test_classify_not_elliptic():
     assert classify(CanonicalParams(2.0, 1.0, 1.0, 1.0, 1.0)).verdict is Verdict.NOT_ELLIPTIC
     assert classify(CanonicalParams(1.0, 2.0, 1.0, 1.0, 2.0)).verdict is Verdict.NOT_ELLIPTIC
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        CanonicalParams(2e-7, 1e-6, 1e-6, 2e-7, 1.0),
+        CanonicalParams(1.0 + 1e-10, 2.0, 1.0, 1.0, 1.0),
+        CanonicalParams(1e-12, 0.0, 1.0, -1e-12, 1.0),
+        CanonicalParams(0.0, 1.0, 1.0, 0.0, 3.0),
+        CanonicalParams(1.0, 2.0, 1.0, 1.0, 1.0),
+        CanonicalParams(2.0, -1.0, -3.0, 1.0, 2.0),
+    ],
+    ids=["det-in-tolerance", "trace-1e-10", "b1-zero", "linear", "weak-focus", "first-order"],
+)
+def test_focal_routes_share_the_ellipticity_decision(c):
+    # both focal routes refuse exactly what classify calls degenerate or not elliptic
+    refused = classify(c).verdict in (Verdict.DEGENERATE_DET_ZERO, Verdict.NOT_ELLIPTIC)
+    routes = (closed_form_focal, lambda c: lyapunov_numeric(taylor_expand(c, 5), 1))
+    for route in routes:
+        if refused:
+            with pytest.raises(PreconditionViolated):
+                route(c)
+        else:
+            route(c)
+
+
+#: zeros, subnormals, tiny, unit and near-overflow magnitudes
+EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-12, 1.0, -1.0, 2.0, 1e300, -1e300, 1.7e308)
+
+
+def test_classify_is_total_on_extreme_magnitudes():
+    escaped = []
+    for a1, b1, a3, b3 in itertools.product(EXTREMES, repeat=4):
+        for K in (5e-324, 1e-300, 1.0, 1e300, 1.7e308):
+            c = CanonicalParams(a1, b1, a3, b3, K)
+            try:
+                classify(c)
+            except (LotkaError, ValueError):
+                pass
+            except Exception as exc:
+                escaped.append((c, type(exc).__name__))
+    assert not escaped, f"{len(escaped)} escapes, first {escaped[:3]}"
 
 
 def test_row_boundary_meets_degeneracy():

@@ -150,6 +150,11 @@ def test_numeric_errors_exit_65(capsys):
     capsys.readouterr()
     assert run_cli(["simulate", *CANON, "--x0", "0", "--y0", "1", "--t-max", "1"]) == 65
     assert "not strictly positive" in capsys.readouterr().err
+    # the trace a1 - K*b3 overflows to inf
+    overflow = ["--a1", "5e-324", "--b1", "0", "--a3", "0", "--b3", "-1e300", "--K", "1e300"]
+    assert run_cli(["classify", *overflow]) == 65
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_sweep_grid(tmp_path, capsys):
@@ -329,7 +334,10 @@ def test_argument_fuzz_never_crashes(capsys):
         "--t-max", "--r-min", "--case", "--family", "--tol", "--seed", "--points",
         "--bogus", "-q", "--", "",
     ]
-    values = ["1", "0", "-2", "0.5", "1e3", "nan", "inf", "-inf", "x", "1e400", "", "i", "r1"]
+    values = [
+        "1", "0", "-2", "0.5", "1e3", "nan", "inf", "-inf", "x", "1e400", "", "i", "r1",
+        "5e-324", "1e300", "-1e300",
+    ]
     allowed = {0, 1, 2, 64, 65}
 
     # malformed tier: random token soup must fail cleanly
@@ -543,6 +551,18 @@ def test_simulate_rejects_nan_t_max(capsys):
     ]
     assert run_cli(argv) == 65
     assert "t_max" in capsys.readouterr().err
+
+
+def test_simulate_rejects_infinite_t_max(capsys):
+    argv = [
+        "simulate",
+        *("--a1", "1", "--b1", "2", "--a3", "1", "--b3", "1", "--K", "1"),
+        *("--x0", "1.2", "--y0", "1.0", "--t-max", "inf", "--max-steps", "5"),
+    ]
+    assert run_cli(argv) == 65
+    captured = capsys.readouterr()
+    assert "t_max" in captured.err
+    assert captured.out == ""
 
 
 def test_cycles_rejects_infinite_r_max(capsys):

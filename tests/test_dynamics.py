@@ -412,6 +412,12 @@ def test_integrate_rejects_non_positive_t_max(t_max):
         integrate(WEAK_FOCUS, (1.2, 1.0), t_max)
 
 
+def test_integrate_rejects_infinite_t_max():
+    # a budget-limited run would otherwise record every step up to the budget
+    with pytest.raises(ValueError, match="t_max"):
+        integrate(WEAK_FOCUS, (1.2, 1.0), math.inf, step_budget=5)
+
+
 @pytest.mark.parametrize("start", [(0.0, 1.0), (1.2, -1.0), (math.nan, 1.0)])
 def test_integrate_rejects_non_positive_start(start):
     with pytest.raises(DomainError, match="not strictly positive"):

@@ -95,7 +95,7 @@ def test_jacobian_zero_eigenvalue():
 def test_jacobian_saddle():
     js = jacobian(CanonicalParams(2.0, 1.0, 1.0, 1.0, 1.0))
     assert js.determinant == -1.0
-    assert js.eigenvalue_kind is EigenvalueKind.REAL_DISTINCT
+    assert js.eigenvalue_kind is EigenvalueKind.NOT_ELLIPTIC
     assert js.omega == 0.0
 
 

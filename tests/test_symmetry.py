@@ -9,7 +9,6 @@ from lotkacenter import (
     CanonicalParams,
     CaseMismatch,
     CenterCase,
-    DegenerateK,
     DomainError,
     integrate,
     match_table_cases,
@@ -42,7 +41,7 @@ def test_transform_exponent_identity():
 
 
 def test_transform_rejects_degenerate_denominator():
-    with pytest.raises(DegenerateK):
+    with pytest.raises(CaseMismatch):
         r2_transform(CanonicalParams(1.0, -0.5, 1.0, 0.0, 1.0))
 
 
