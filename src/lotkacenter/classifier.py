@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InternalInconsistency
-from .focal import L2_ZERO_TOL, FocalBranch, FocalValues, closed_form_focal
+from .focal import L2_ZERO_TOL, FocalValues, closed_form_focal
 from .model import CLOSE_TOL, CanonicalParams, EigenvalueKind, close, jacobian
 
 __all__ = [
@@ -44,9 +44,11 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class CenterClassification:
+    """``cases`` holds the matched families of a Center and is empty for
+    every other verdict; ``focal`` is None unless (1, 1) is elliptic."""
+
     verdict: Verdict
     cases: frozenset[CenterCase]
-    witness: str
     focal: FocalValues | None
 
 
@@ -107,40 +109,6 @@ def match_table_cases(c: CanonicalParams) -> frozenset[CenterCase]:
     return frozenset(out)
 
 
-#: witness token -> the algebraic factor it claims vanishes
-WITNESS_FACTORS = {
-    "b3 = 0": lambda c: c.b3,
-    "1+a3-b3*K = 0": lambda c: 1.0 + c.a3 - c.b3 * c.K,
-    "1-b3*K = 0": lambda c: 1.0 - c.b3 * c.K,
-    "1-K = 0": lambda c: 1.0 - c.K,
-    "1+a3+K-b3*K = 0": lambda c: 1.0 + c.a3 + c.K - c.b3 * c.K,
-    "a3 = -1": lambda c: c.a3 + 1.0,
-    "b1 = -1": lambda c: c.b1 + 1.0,
-    "a3 = b1": lambda c: c.a3 - c.b1,
-}
-
-
-def _center_witness(c: CanonicalParams, fv: FocalValues) -> str:
-    if fv.branch is FocalBranch.CASE_A_B3_ZERO:
-        return "b3 = 0"
-    if fv.branch is FocalBranch.CASE_C1:
-        return "b3 = 1, a3 = -1"
-    if fv.branch is FocalBranch.CASE_C2:
-        tokens = [
-            t
-            for t in ("a3 = -1", "b1 = -1", "a3 = b1")
-            if abs(WITNESS_FACTORS[t](c)) <= CLOSE_TOL * (1.0 + abs(c.a3) + abs(c.b1))
-        ]
-        return "b3 = 1, K = 1; " + "; ".join(tokens) if tokens else "b3 = 1, K = 1"
-    scale = 1.0 + abs(c.a3) + abs(c.b3) * c.K + c.K
-    tokens = [
-        t
-        for t in ("1+a3-b3*K = 0", "1-b3*K = 0", "1-K = 0", "1+a3+K-b3*K = 0")
-        if abs(WITNESS_FACTORS[t](c)) <= CLOSE_TOL * scale
-    ]
-    return "; ".join(tokens) if tokens else "no quartic factor vanished"
-
-
 def classify(c: CanonicalParams) -> CenterClassification:
     """Full verdict for one parameter set.
 
@@ -153,44 +121,19 @@ def classify(c: CanonicalParams) -> CenterClassification:
     """
     summary = jacobian(c)
     if summary.eigenvalue_kind is EigenvalueKind.ZERO_EIGENVALUE:
-        return CenterClassification(
-            verdict=Verdict.DEGENERATE_DET_ZERO,
-            cases=frozenset(),
-            witness="det = 0",
-            focal=None,
-        )
+        return CenterClassification(Verdict.DEGENERATE_DET_ZERO, frozenset(), None)
     if summary.eigenvalue_kind is not EigenvalueKind.PURELY_IMAGINARY:
-        return CenterClassification(
-            verdict=Verdict.NOT_ELLIPTIC,
-            cases=frozenset(),
-            witness="trace != 0 or det < 0",
-            focal=None,
-        )
+        return CenterClassification(Verdict.NOT_ELLIPTIC, frozenset(), None)
 
     fv = closed_form_focal(c)
-    if fv.L2 is None:
-        verdict = Verdict.FOCUS_STABLE if fv.L1 < 0.0 else Verdict.FOCUS_UNSTABLE
-        return CenterClassification(
-            verdict=verdict, cases=frozenset(), witness="L1 != 0", focal=fv
-        )
-    if abs(fv.L2) > L2_ZERO_TOL:
-        verdict = Verdict.FOCUS_STABLE if fv.L2 < 0.0 else Verdict.FOCUS_UNSTABLE
-        if fv.branch is FocalBranch.CASE_C2:
-            witness = "b3 = 1, K = 1: none of the factors a3, 1+a3, 1+b1, a3-b1 vanishes"
-        else:
-            witness = "L1 = 0: none of the factors 1+a3-b3*K, 1-b3*K, 1-K, 1+a3+K-b3*K vanishes"
-        return CenterClassification(
-            verdict=verdict, cases=frozenset(), witness=witness, focal=fv
-        )
+    if fv.L2 is None or abs(fv.L2) > L2_ZERO_TOL:
+        deciding = fv.L1 if fv.L2 is None else fv.L2
+        verdict = Verdict.FOCUS_STABLE if deciding < 0.0 else Verdict.FOCUS_UNSTABLE
+        return CenterClassification(verdict, frozenset(), fv)
 
     cases = match_table_cases(c)
     if not cases:
         raise InternalInconsistency(
             f"L1 and L2 vanish for {c} but no center family matches"
         )
-    return CenterClassification(
-        verdict=Verdict.CENTER,
-        cases=cases,
-        witness=_center_witness(c, fv),
-        focal=fv,
-    )
+    return CenterClassification(Verdict.CENTER, cases, fv)

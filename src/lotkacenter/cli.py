@@ -37,7 +37,7 @@ from .dynamics import (
     poincare_return,
 )
 from .errors import LotkaError
-from .focal import FocalValues
+from .focal import FocalBranch, FocalValues
 from .model import CanonicalParams, RawLotkaParams, canonicalize
 from .symmetry import r1_residual, r2_residual
 
@@ -167,11 +167,50 @@ def _focal_pairs(fv: FocalValues) -> list[tuple[str, object]]:
     return [("L1", fv.L1), ("L2", fv.L2)]
 
 
+#: the L2 factor that each center family makes vanish, on the (b3 = 1,
+#: K = 1) corner and on the generic branch, in the order they are printed
+_C2_FACTORS = {
+    CenterCase.III: "a3 = -1",
+    CenterCase.IV: "b1 = -1",
+    CenterCase.R1: "a3 = b1",
+}
+_QUARTIC_FACTORS = {
+    CenterCase.II: "1+a3-b3*K = 0",
+    CenterCase.IV: "1-b3*K = 0",
+    CenterCase.R1: "1-K = 0",
+    CenterCase.R2: "1+a3+K-b3*K = 0",
+}
+
+
+def _witness(result: CenterClassification) -> str:
+    """Why the verdict holds: the failed linear test, the focal value that
+    does not vanish, or the vanishing L2 factor of each matched family."""
+    fv = result.focal
+    if fv is None:
+        if result.verdict is Verdict.DEGENERATE_DET_ZERO:
+            return "det = 0"
+        return "trace != 0 or det < 0"
+    if fv.L2 is None:
+        return "L1 != 0"
+    c2 = fv.branch is FocalBranch.CASE_C2
+    if result.verdict is not Verdict.CENTER:
+        if c2:
+            return "b3 = 1, K = 1: none of the factors a3, 1+a3, 1+b1, a3-b1 vanishes"
+        return "L1 = 0: none of the factors 1+a3-b3*K, 1-b3*K, 1-K, 1+a3+K-b3*K vanishes"
+    if fv.branch is FocalBranch.CASE_A_B3_ZERO:
+        return "b3 = 0"
+    if fv.branch is FocalBranch.CASE_C1:
+        return "b3 = 1, a3 = -1"
+    factors = _C2_FACTORS if c2 else _QUARTIC_FACTORS
+    tokens = [factors[case] for case in factors if case in result.cases]
+    return "; ".join(["b3 = 1, K = 1", *tokens] if c2 else tokens)
+
+
 def _classification_text(result: CenterClassification) -> str:
     pairs = [
         ("verdict", result.verdict),
         ("cases", ",".join(sorted(case.value for case in result.cases)) or None),
-        ("witness", result.witness),
+        ("witness", _witness(result)),
     ]
     if result.focal is not None:
         pairs += _focal_pairs(result.focal)
@@ -461,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (LotkaError, ValueError, OverflowError) as exc:
+    except (LotkaError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -151,22 +151,19 @@ class BautinResult:
     stage2_report: LimitCycleReport
 
 
-def _rhs_factory(c: CanonicalParams):
-    a1, b1, a3, b3, K = c.a1, c.b1, c.a3, c.b3, c.K
-
-    def rhs(x: float, y: float) -> tuple[float, float] | None:
-        if not (0.0 < x < math.inf and 0.0 < y < math.inf):
-            return None
-        try:
-            fx = x**a1 * y**b1 - 1.0
-            fy = K * (1.0 - x**a3 * y**b3)
-        except OverflowError:
-            return None
-        if math.isfinite(fx) and math.isfinite(fy):
-            return fx, fy
+def _field(c: CanonicalParams, x: float, y: float) -> tuple[float, float] | None:
+    """The field at (x, y), or None outside the open quadrant or when it
+    overflows or is not finite."""
+    if not (0.0 < x < math.inf and 0.0 < y < math.inf):
         return None
-
-    return rhs
+    try:
+        fx = x**c.a1 * y**c.b1 - 1.0
+        fy = c.K * (1.0 - x**c.a3 * y**c.b3)
+    except OverflowError:
+        return None
+    if math.isfinite(fx) and math.isfinite(fy):
+        return fx, fy
+    return None
 
 
 def _char_period(c: CanonicalParams) -> float:
@@ -186,11 +183,11 @@ def _dp54_step(c: CanonicalParams):
     returns ``(x1, y1, fx1, fy1, ex, ey)``: the new state, the field
     there and the embedded error estimate.  It returns None when a stage
     leaves the open quadrant, overflows or is not finite.  Every stage
-    inlines the field of ``_rhs_factory``, and the positivity test on the
-    state it is evaluated at guards it: a non-finite k2..k6 enters the
-    next state with a nonzero tableau coefficient, so that state is inf
-    or NaN and fails the test before any power runs.  Only k7, which
-    leaves the step, is tested for finiteness itself.
+    inlines ``_field``, and the positivity test on the state it is
+    evaluated at guards it: a non-finite k2..k6 enters the next state
+    with a nonzero tableau coefficient, so that state is inf or NaN and
+    fails the test before any power runs.  Only k7, which leaves the
+    step, is tested for finiteness itself.
     """
     a1, b1, a3, b3, K = c.a1, c.b1, c.a3, c.b3, c.K
     inf = math.inf
@@ -311,7 +308,7 @@ def _drive(
     h_cap = _step_cap(t_char, rel_tol)
     h_min = 1e-14 * t_char
 
-    f = _rhs_factory(c)(x0, y0)
+    f = _field(c, x0, y0)
     if f is None:
         raise IntegrationFailure(f"field not evaluable at start ({x0}, {y0})")
     fx, fy = f
@@ -471,8 +468,7 @@ def _section_for(
     else:
         x0, y0 = 1.0 + radius, 1.0
         axis = 1
-    rhs = _rhs_factory(c)
-    f = rhs(x0, y0)
+    f = _field(c, x0, y0)
     if f is None:
         raise PreconditionViolated(f"field not evaluable at ({x0}, {y0})")
     g_rate = f[axis]

@@ -78,17 +78,23 @@ def closed_form_focal(c: CanonicalParams) -> FocalValues:
     """Exact first and second focal values for a trace-free elliptic point.
 
     Raises PreconditionViolated unless ``jacobian`` calls the linearization
-    PURELY_IMAGINARY.  When L1 vanishes the branch for L2 is decided on the
-    algebra: b3 = 0 and the (b3 = 1, a3 = -1) corner force L2 = 0, the
-    (b3 = 1, K = 1) corner has its own quartic product formula, and the
-    generic branch (D != 0, b3 not in {0, 1}) has the six-factor formula.
+    PURELY_IMAGINARY, and when omega*b1 is 0 in floating point.  When L1
+    vanishes the branch for L2 is decided on the algebra: b3 = 0 and the
+    (b3 = 1, a3 = -1) corner force L2 = 0, the (b3 = 1, K = 1) corner has
+    its own quartic product formula, and the generic branch (D != 0, b3
+    not in {0, 1}) has the six-factor formula.
     """
     a1, b1, a3, b3, K = c.a1, c.b1, c.a3, c.b3, c.K
     root = _require_elliptic(c)
 
     d_value = 1.0 + a3 - a3 * K - b3 * K
     bracket = b1 * d_value - a3 * (1.0 - b3) * K
-    l1 = (math.pi / 8.0) * K * b3 * bracket / (root * b1)
+    # omega*b1 divides L1, its scale and the corner L2; it underflows to 0
+    # for a subnormal b1
+    root_b1 = root * b1
+    if root_b1 == 0.0:
+        raise PreconditionViolated(f"omega * b1 is 0 in floating point: omega {root}, b1 {b1}")
+    l1 = (math.pi / 8.0) * K * b3 * bracket / root_b1
 
     # magnitude of the two bracket contributions, for a scale-aware zero test
     l1_scale = (
@@ -96,7 +102,7 @@ def closed_form_focal(c: CanonicalParams) -> FocalValues:
         * K
         * abs(b3)
         * (abs(b1) * (1.0 + abs(a3) * (1.0 + K) + abs(b3) * K) + abs(a3) * (1.0 + abs(b3)) * K)
-        / (root * abs(b1))
+        / abs(root_b1)
     )
     if abs(l1) > L1_ZERO_TOL * max(1.0, l1_scale):
         return FocalValues(L1=l1, L2=None, d_value=d_value, branch=FocalBranch.NOT_APPLICABLE)
@@ -114,7 +120,7 @@ def closed_form_focal(c: CanonicalParams) -> FocalValues:
                 * (1.0 + a3)
                 * (1.0 + b1)
                 * (a3 - b1)
-                / (root * b1)
+                / root_b1
             )
             return FocalValues(L1=l1, L2=l2, d_value=d_value, branch=FocalBranch.CASE_C2)
         if close(a3, -1.0):

@@ -64,7 +64,6 @@ class TransformedField:
     e_v1: float
     e_v2: float
     b1: float
-    source: CanonicalParams
 
 
 def r2_transform(c: CanonicalParams) -> TransformedField:
@@ -83,7 +82,6 @@ def r2_transform(c: CanonicalParams) -> TransformedField:
         e_v1=2.0 + c.b1,
         e_v2=2.0 + c.b1 - c.b3,
         b1=c.b1,
-        source=c,
     )
 
 

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from lotkacenter import (
@@ -19,8 +21,7 @@ from lotkacenter import (
     match_table_cases,
     taylor_expand,
 )
-from lotkacenter.classifier import WITNESS_FACTORS
-from lotkacenter.cli import main
+from lotkacenter.cli import _witness, main
 
 ALL_CASES = (
     CenterCase.I,
@@ -69,7 +70,7 @@ def test_classify_center_examples():
     r = classify(CanonicalParams(0.0, 1.0, 1.0, 0.0, 3.0))
     assert r.verdict is Verdict.CENTER
     assert r.cases == {CenterCase.I}
-    assert r.witness == "b3 = 0"
+    assert _witness(r) == "b3 = 0"
 
 
 def test_classify_stable_focus_second_order():
@@ -85,7 +86,7 @@ def test_classify_stable_focus_second_order():
 def test_classify_unstable_focus_first_order():
     r = classify(CanonicalParams(2.0, -1.0, -3.0, 1.0, 2.0))
     assert r.verdict is Verdict.FOCUS_UNSTABLE
-    assert r.witness == "L1 != 0"
+    assert _witness(r) == "L1 != 0"
     assert r.focal.L1 > 0.0
 
 
@@ -142,6 +143,35 @@ def test_classify_is_total_on_extreme_magnitudes():
     assert not escaped, f"{len(escaped)} escapes, first {escaped[:3]}"
 
 
+@pytest.mark.parametrize(
+    "c",
+    [
+        CanonicalParams(0.0, 5e-324, 2e22, 0.0, 1e300),
+        CanonicalParams(
+            1.781859745773466e-06, 5e-324, 1e300, 2.0664483524121656e-28, 8.622812874531806e21
+        ),
+    ],
+)
+def test_classify_refuses_underflowing_focal_divisor(c):
+    # elliptic, but omega*b1, which divides L1, underflows to 0
+    assert jacobian(c).determinant > 0.0
+    with pytest.raises(PreconditionViolated):
+        classify(c)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_FINITE, _FINITE, _FINITE, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_classify_is_total_on_trace_free_floats(a1, b1, a3, K):
+    # subnormals included; b3 = a1/K puts the trace at zero
+    try:
+        classify(CanonicalParams(a1, b1, a3, a1 / K, K))
+    except (LotkaError, ValueError):
+        pass
+
+
 def test_row_boundary_meets_degeneracy():
     # pushing a row-II inequality to equality kills the determinant
     r = classify(CanonicalParams(0.6, -0.6, -0.4, 0.4, 1.5))
@@ -157,36 +187,89 @@ def test_classify_rows_give_center():
 
 
 def test_center_witness_names_vanishing_factor():
+    # witness token -> the algebraic factor it claims vanishes
+    factors = {
+        "b3 = 0": lambda c: c.b3,
+        "1+a3-b3*K = 0": lambda c: 1.0 + c.a3 - c.b3 * c.K,
+        "1-b3*K = 0": lambda c: 1.0 - c.b3 * c.K,
+        "1-K = 0": lambda c: 1.0 - c.K,
+        "1+a3+K-b3*K = 0": lambda c: 1.0 + c.a3 + c.K - c.b3 * c.K,
+        "a3 = -1": lambda c: c.a3 + 1.0,
+        "b1 = -1": lambda c: c.b1 + 1.0,
+        "a3 = b1": lambda c: c.a3 - c.b1,
+    }
     for row_index, case in enumerate(ALL_CASES):
         for i, c in enumerate(helpers.center_row_draws(300 + row_index, case, 15)):
             r = classify(c)
+            witness = _witness(r)
             branch = r.focal.branch
             if branch is FocalBranch.CASE_A_B3_ZERO:
-                assert r.witness == "b3 = 0"
-                assert WITNESS_FACTORS["b3 = 0"](c) == 0.0
+                assert witness == "b3 = 0"
+                assert factors["b3 = 0"](c) == 0.0
             elif branch is FocalBranch.CASE_C1:
-                assert r.witness.startswith("b3 = 1, a3 = -1")
-                assert abs(WITNESS_FACTORS["a3 = -1"](c)) <= 1e-10
+                assert witness.startswith("b3 = 1, a3 = -1")
+                assert abs(factors["a3 = -1"](c)) <= 1e-10
             elif branch is FocalBranch.CASE_C2:
-                tokens = r.witness.removeprefix("b3 = 1, K = 1; ").split("; ")
+                tokens = witness.removeprefix("b3 = 1, K = 1; ").split("; ")
                 assert tokens, f"{case} draw {i}"
                 scale = 1.0 + abs(c.a3) + abs(c.b1)
                 for t in tokens:
-                    assert abs(WITNESS_FACTORS[t](c)) <= 1e-9 * scale, f"{case} {t}"
+                    assert abs(factors[t](c)) <= 1e-9 * scale, f"{case} {t}"
             else:
-                tokens = r.witness.split("; ")
+                tokens = witness.split("; ")
                 assert tokens, f"{case} draw {i}"
                 scale = 1.0 + abs(c.a3) + abs(c.b3) * c.K + c.K
                 for t in tokens:
-                    assert abs(WITNESS_FACTORS[t](c)) <= 1e-9 * scale, f"{case} {t}"
+                    assert abs(factors[t](c)) <= 1e-9 * scale, f"{case} {t}"
 
 
-def test_witness_token_map_is_total():
-    c = CanonicalParams(1.0, 2.0, 1.0, 1.0, 1.0)
-    for token in WITNESS_FACTORS:
-        assert isinstance(WITNESS_FACTORS[token](c), float)
-    with pytest.raises(KeyError):
-        WITNESS_FACTORS["no such factor"](c)
+@pytest.mark.parametrize(
+    "c, case, token",
+    [
+        (
+            CanonicalParams(
+                0.04249295525249398,
+                -2.7686397650078893,
+                -1.4988875214951147,
+                0.07849000252926733,
+                0.5413804801018987,
+            ),
+            CenterCase.R2,
+            "1+a3+K-b3*K = 0",
+        ),
+        (
+            CanonicalParams(
+                0.16048996303651086,
+                -1.6452340083009256,
+                -2.140603949598932,
+                0.12335002267398111,
+                1.3010939078681165,
+            ),
+            CenterCase.R2,
+            "1+a3+K-b3*K = 0",
+        ),
+        (
+            CanonicalParams(
+                0.03688374703199085,
+                0.3418439725338183,
+                0.34184397287889307,
+                0.03688374712078356,
+                0.9999999975926331,
+            ),
+            CenterCase.R1,
+            "1-K = 0",
+        ),
+    ],
+    ids=["R2-a", "R2-b", "R1"],
+)
+def test_witness_names_the_factor_of_each_matched_family(c, case, token):
+    # each point matches its family within CLOSE_TOL while the family's
+    # factor lies just outside CLOSE_TOL*(1+|a3|+|b3|K+K); the witness
+    # names the factor of the matched family and tests nothing again
+    r = classify(c)
+    assert r.verdict is Verdict.CENTER
+    assert r.cases == {case}
+    assert _witness(r) == token
 
 
 def test_verdict_matches_case_membership():

@@ -157,6 +157,23 @@ def test_numeric_errors_exit_65(capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        ("0", "5e-324", "2e22", "0", "1e300"),
+        ("1.781859745773466e-06", "5e-324", "1e300", "2.0664483524121656e-28", "8.622812874531806e21"),
+    ],
+)
+def test_classify_underflowing_focal_divisor_exits_65(capsys, params):
+    # omega*b1, which divides L1, underflows to 0 for a subnormal b1
+    argv = ["classify", *itertools.chain(*zip(("--a1", "--b1", "--a3", "--b3", "--K"), params))]
+    assert run_cli(argv) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_sweep_grid(tmp_path, capsys):
     out_file = tmp_path / "grid.jsonl"
     argv = [
