@@ -133,7 +133,7 @@ def _sample_points(n: int, seed: int) -> list[tuple[float, float]]:
         raise _UsageError(f"--points must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     logs = rng.uniform(math.log(0.25), math.log(4.0), size=(n, 2))
-    return [(float(math.exp(u)), float(math.exp(v))) for u, v in logs]
+    return [(math.exp(u), math.exp(v)) for u, v in logs]
 
 
 def _open_out(path: str):
@@ -150,7 +150,7 @@ def _open_out(path: str):
 def _text(value) -> str:
     """One value as every text output prints it."""
     if isinstance(value, float):
-        return repr(float(value))  # a plain repr also for numpy scalars
+        return repr(value)
     if value is None:
         return "none"
     if isinstance(value, Enum):
@@ -240,7 +240,10 @@ def _cycle_report_text(report: LimitCycleReport) -> str:
 
 
 def _trajectory_text(tr: Trajectory) -> str:
-    rows = ("\t".join(map(_text, (t, x, y))) for t, (x, y) in zip(tr.times, tr.points))
+    rows = (
+        "\t".join(map(_text, (t, x, y)))
+        for t, (x, y) in zip(tr.times.tolist(), tr.points.tolist())
+    )
     return "\n".join(["t\tx\ty", *rows])
 
 
@@ -325,7 +328,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise _UsageError(f"--{name}-steps must be at least 2, got {steps}")
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise _UsageError(f"--{name}-range must be a finite increasing pair")
+        if not math.isfinite(hi - lo):
+            raise _UsageError(f"--{name}-range {lo!r} {hi!r} spans more than a float holds")
         grids.append([float(v) for v in np.linspace(lo, hi, steps)])
+    # |a1| is largest at the ends of its axis, and so is |b3| = |a1|/K
+    for a1 in (grids[0][0], grids[0][-1]):
+        if not math.isfinite(a1 / args.K):
+            raise _UsageError(f"--K {args.K!r} makes b3 = a1/K infinite at a1 = {a1!r}")
 
     out = sys.stdout if args.out == "-" else _open_out(args.out)
     n = 0

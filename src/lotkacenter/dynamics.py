@@ -32,6 +32,7 @@ step budget.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -295,12 +296,15 @@ def _drive(
 ):
     """Shared stepping loop; ``t_char`` is ``_char_period(c)``.
 
-    Returns (reason, hit, (accepted, rejected), (times, points), last
-    (t, x, y)); ``hit`` is None unless the section was reached, and the
-    samples are empty unless ``record``.
+    The start, the horizon and the tolerance are taken as built-in
+    floats, as the parameters are, so no numpy scalar reaches the
+    stepper.  Returns (reason, hit, (accepted, rejected), (times,
+    points), last (t, x, y)); ``hit`` is None unless the section was
+    reached, and the samples are empty unless ``record``.
     """
     if not 1e-13 <= rel_tol <= 1e-3:
         raise ValueError(f"rel_tol must lie in [1e-13, 1e-3], got {rel_tol}")
+    x0, y0, t_max, rel_tol = float(x0), float(y0), float(t_max), float(rel_tol)
     step = _dp54_step(c)
     sqrt = math.sqrt
     low, high = _ESCAPE_LOW, _ESCAPE_HIGH
@@ -495,6 +499,7 @@ def poincare_return(
     """
     if not x0 > 1.0:
         raise PreconditionViolated(f"in-section coordinate must exceed 1, got {x0}")
+    x0 = float(x0)
     radius = x0 - 1.0
     t_char = _char_period(c)
     section, sx, sy = _section_for(c, radius, t_char)
@@ -521,7 +526,7 @@ def section_displacement(c: CanonicalParams, radius: float, rel_tol: float) -> f
     return poincare_return(c, 1.0 + radius, rel_tol).displacement
 
 
-def brentq(f, lo, hi, f_lo, f_hi, xtol=2e-12, rtol=4 * np.finfo(float).eps):
+def brentq(f, lo, hi, f_lo, f_hi, xtol=2e-12, rtol=4 * sys.float_info.epsilon):
     """Brent's bracketed root of ``f`` between ``lo`` and ``hi``, whose
     values ``f_lo`` and ``f_hi`` the caller already has.
 

@@ -47,14 +47,22 @@ def close(u: float, v: float) -> bool:
     return abs(u - v) <= CLOSE_TOL * (1.0 + abs(u) + abs(v))
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+def _hold_finite_floats(record: object, names: tuple[str, ...]) -> None:
+    """Check that the named fields of a frozen record are finite, in
+    order, and hold each as a built-in float, so no numpy scalar, int or
+    Fraction reaches the arithmetic on it.  A message prints the value
+    as it was given."""
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if type(value) is not float:
+            object.__setattr__(record, name, float(value))
 
 
 @dataclass(frozen=True)
 class Point:
-    """A point in the open positive quadrant."""
+    """A point in the open positive quadrant, held as built-in floats."""
 
     x: float
     y: float
@@ -62,8 +70,7 @@ class Point:
     def __post_init__(self) -> None:
         if not (self.x > 0.0 and self.y > 0.0):
             raise DomainError(f"point ({self.x}, {self.y}) is not strictly positive")
-        _require_finite("x", self.x)
-        _require_finite("y", self.y)
+        _hold_finite_floats(self, ("x", "y"))
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,9 @@ class RawLotkaParams:
 
     dx/dt = k1 x**alpha1 y**beta1 - k2 x**alpha2 y**beta2
     dy/dt = k3 x**alpha2 y**beta2 - k4 x**alpha3 y**beta3
+
+    The fields are held as built-in floats, whatever real numbers are
+    passed in.
     """
 
     k1: float
@@ -88,11 +98,10 @@ class RawLotkaParams:
     def __post_init__(self) -> None:
         for name in ("k1", "k2", "k3", "k4"):
             value = getattr(self, name)
-            _require_finite(name, value)
+            _hold_finite_floats(self, (name,))
             if value <= 0.0:
                 raise ValueError(f"rate {name} must be positive, got {value}")
-        for name in ("alpha1", "beta1", "alpha2", "beta2", "alpha3", "beta3"):
-            _require_finite(name, getattr(self, name))
+        _hold_finite_floats(self, ("alpha1", "beta1", "alpha2", "beta2", "alpha3", "beta3"))
 
     def exponent_differences(self) -> tuple[float, float, float, float]:
         """(a1, b1, a3, b3) of the orbitally equivalent reduced form."""
@@ -106,7 +115,12 @@ class RawLotkaParams:
 
 @dataclass(frozen=True)
 class CanonicalParams:
-    """Exponents and time-scale ratio of the canonical system."""
+    """Exponents and time-scale ratio of the canonical system.
+
+    The fields are built-in floats whatever real numbers are passed in
+    (numpy scalars, ints, Fractions), so the stepper, the focal values
+    and the classifier compute on built-in floats and return them.
+    """
 
     a1: float
     b1: float
@@ -115,10 +129,10 @@ class CanonicalParams:
     K: float
 
     def __post_init__(self) -> None:
-        for name in ("a1", "b1", "a3", "b3", "K"):
-            _require_finite(name, getattr(self, name))
-        if self.K <= 0.0:
-            raise ValueError(f"K must be positive, got {self.K}")
+        K = self.K  # as given, for the message
+        _hold_finite_floats(self, ("a1", "b1", "a3", "b3", "K"))
+        if K <= 0.0:
+            raise ValueError(f"K must be positive, got {K}")
 
 
 class EigenvalueKind(Enum):

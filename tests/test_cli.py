@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -224,6 +225,22 @@ def test_sweep_golden_output(tmp_path):
     assert run_cli(["sweep", "--K", "1", *steps, "--out", str(out_file)]) == 0
     digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
     assert digest == "104d6cab9ed0fdc7527a5ece1637eb9121299e854066e9e9fb37fa1bfc294159"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["--K", "1e-310"], "--K"), (["--K", "1", "--a1-range", "-1e308", "1e308"], "--a1-range")],
+    ids=["b3-overflows", "span-overflows"],
+)
+def test_sweep_rejects_unwritable_grid(capsys, argv, flag):
+    # b3 = a1/K or the axis span is not a float, so no record could be written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["sweep", *argv]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag} ")
 
 
 def test_simulate_writes_tsv(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Integration, return maps, and limit-cycle detection."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -174,6 +175,38 @@ def test_single_stable_cycle_detection():
 def test_scan_records_no_return_radii_as_nan():
     rep = detect_limit_cycles(CanonicalParams(2.0, -1.0, -3.0, 1.0, 1.0), 0.5, 3.0, 6)
     assert any(math.isnan(d) for d in rep.scan_displacements)
+
+
+def _report_hex(report) -> tuple:
+    scan = tuple(float.hex(v) for v in (*report.scan_radii, *report.scan_displacements))
+    return scan, tuple(
+        (float.hex(c.radius), float.hex(c.displacement), c.stability) for c in report.cycles
+    )
+
+
+@pytest.mark.parametrize(
+    "params, radii",
+    [
+        ((0.98, 2.0, 1.0, 1.0, 0.98), (0.2, 1.4, 8)),
+        ((1.02 - float.fromhex("0x1.44b5031ba9994p-12"), -2.0, -3.0, 1.0, 1.02), (0.1, 1.0, 5)),
+        ((1.0, 2.0, 1.0, 1.0, 1.0), (0.1, 1.0, 6)),
+    ],
+    ids=["stable-cycle", "unstable-cycle", "no-cycle"],
+)
+def test_numpy_scalar_systems_scan_like_float_ones(params, radii):
+    as_float = detect_limit_cycles(CanonicalParams(*params), *radii)
+    r_min, r_max, n_scan = radii
+    as_numpy = detect_limit_cycles(
+        CanonicalParams(*map(np.float64, params)), np.float64(r_min), np.float64(r_max), n_scan
+    )
+    assert _report_hex(as_numpy) == _report_hex(as_float)
+
+
+def test_poincare_return_of_numpy_scalars_is_built_in_floats():
+    c = CanonicalParams(*map(np.float64, (1.0, 2.0, 1.0, 1.0, 1.0)))
+    rec = poincare_return(c, np.float64(1.2), np.float64(1e-8))
+    assert [type(v) for v in dataclasses.astuple(rec)] == [float, float, float, float, int]
+    assert rec == poincare_return(WEAK_FOCUS, 1.2, 1e-8)
 
 
 def test_format_trajectory_is_plain_tsv(capsys):

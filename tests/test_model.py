@@ -1,9 +1,14 @@
 """Parameter containers, linearization, and canonicalization."""
 
 import math
+import re
+from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from lotkacenter import (
@@ -48,6 +53,60 @@ def test_canonical_params_reject_bad_k():
         CanonicalParams(0.0, 1.0, 1.0, 0.0, -3.0)
     with pytest.raises(ValueError):
         CanonicalParams(float("nan"), 1.0, 1.0, 0.0, 1.0)
+
+
+def _reals(positive: bool = False):
+    """Finite reals as numpy scalars, ints and Fractions."""
+    floats = st.floats(
+        min_value=0.0 if positive else None,
+        exclude_min=positive,
+        allow_nan=False,
+        allow_infinity=False,
+    )
+    return st.one_of(
+        floats.map(np.float64),
+        st.integers(min_value=1 if positive else -(2**64), max_value=2**64),
+        floats.map(Fraction),
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(
+    st.lists(_reals(), min_size=4, max_size=4),
+    _reals(positive=True),
+    st.lists(_reals(positive=True), min_size=4, max_size=4),
+    st.lists(_reals(), min_size=6, max_size=6),
+    st.lists(_reals(positive=True), min_size=2, max_size=2),
+)
+def test_records_hold_builtin_floats(exponents, K, rates, raw_exponents, xy):
+    for record, given_values in (
+        (CanonicalParams(*exponents, K), [*exponents, K]),
+        (RawLotkaParams(*rates, *raw_exponents), [*rates, *raw_exponents]),
+        (Point(*xy), xy),
+    ):
+        held = [getattr(record, f.name) for f in fields(record)]
+        assert all(type(v) is float for v in held)
+        assert held == [float(v) for v in given_values]
+
+
+@pytest.mark.parametrize("bad", [np.float64("nan"), np.float64("inf"), np.float64("-inf")])
+def test_nonfinite_numpy_scalars_keep_their_messages(bad):
+    with pytest.raises(ValueError, match=re.escape(f"b1 must be finite, got {bad!r}")):
+        CanonicalParams(1.0, bad, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"beta2 must be finite, got {bad!r}")):
+        RawLotkaParams(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, bad, 0.0, 0.0)
+    if bad > 0:
+        with pytest.raises(ValueError, match=re.escape(f"y must be finite, got {bad!r}")):
+            Point(2.0, bad)
+
+
+def test_checks_print_values_as_given():
+    with pytest.raises(ValueError, match="K must be positive, got -1$"):
+        CanonicalParams(0, 1, 1, 0, -1)
+    with pytest.raises(ValueError, match=re.escape("rate k2 must be positive, got -1/2")):
+        RawLotkaParams(1, Fraction(-1, 2), 1, 1, 1, 0, 1, 1, 0, 1)
+    with pytest.raises(TypeError):
+        CanonicalParams("1.0", 1.0, 1.0, 1.0, 1.0)
 
 
 def test_vector_field_values():
