@@ -12,12 +12,11 @@ import argparse
 import itertools
 import json
 import math
+import random
 import re
 import sys
 from dataclasses import fields
 from enum import Enum
-
-import numpy as np
 
 from .classifier import CenterCase, CenterClassification, Verdict, classify
 from .conserved import (
@@ -31,6 +30,7 @@ from .dynamics import (
     STEP_BUDGET_DEFAULT,
     LimitCycleReport,
     Trajectory,
+    _linspace,
     bautin_scenario,
     detect_limit_cycles,
     integrate,
@@ -131,9 +131,10 @@ def _params(args: argparse.Namespace) -> CanonicalParams:
 def _sample_points(n: int, seed: int) -> list[tuple[float, float]]:
     if n < 1:
         raise _UsageError(f"--points must be at least 1, got {n}")
-    rng = np.random.default_rng(seed)
-    logs = rng.uniform(math.log(0.25), math.log(4.0), size=(n, 2))
-    return [(math.exp(u), math.exp(v)) for u, v in logs]
+    if seed < 0:
+        raise _UsageError(f"--seed must be non-negative, got {seed}")
+    rng, lo, hi = random.Random(seed), math.log(0.25), math.log(4.0)
+    return [(math.exp(rng.uniform(lo, hi)), math.exp(rng.uniform(lo, hi))) for _ in range(n)]
 
 
 def _open_out(path: str):
@@ -242,7 +243,7 @@ def _cycle_report_text(report: LimitCycleReport) -> str:
 def _trajectory_text(tr: Trajectory) -> str:
     rows = (
         "\t".join(map(_text, (t, x, y)))
-        for t, (x, y) in zip(tr.times.tolist(), tr.points.tolist())
+        for t, (x, y) in zip(tr.times, tr.points)
     )
     return "\n".join(["t\tx\ty", *rows])
 
@@ -330,7 +331,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise _UsageError(f"--{name}-range must be a finite increasing pair")
         if not math.isfinite(hi - lo):
             raise _UsageError(f"--{name}-range {lo!r} {hi!r} spans more than a float holds")
-        grids.append([float(v) for v in np.linspace(lo, hi, steps)])
+        grids.append(_linspace(lo, hi, steps))
     # |a1| is largest at the ends of its axis, and so is |b3| = |a1|/K
     for a1 in (grids[0][0], grids[0][-1]):
         if not math.isfinite(a1 / args.K):

@@ -36,8 +36,6 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import BadBase, IntegrationFailure, NoReturn, PreconditionViolated
 from .focal import FocalValues, closed_form_focal
 from .model import CanonicalParams, Point, _positive_xy, close, jacobian
@@ -102,15 +100,11 @@ class CycleStability(Enum):
 
 @dataclass(frozen=True)
 class Trajectory:
-    times: np.ndarray
-    points: np.ndarray  # shape (n, 2)
+    times: tuple[float, ...]
+    points: tuple[tuple[float, float], ...]  # (x, y) at each time
     n_accepted: int
     n_rejected: int
     termination: TerminationReason
-
-    def __post_init__(self) -> None:
-        self.times.setflags(write=False)
-        self.points.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -453,13 +447,7 @@ def integrate(
     reason, _, (n_acc, n_rej), (times, pts), _ = _drive(
         c, x0, y0, t_max, rel_tol, _char_period(c), step_budget=step_budget, record=True
     )
-    return Trajectory(
-        times=np.asarray(times),
-        points=np.asarray(pts),
-        n_accepted=n_acc,
-        n_rejected=n_rej,
-        termination=reason,
-    )
+    return Trajectory(tuple(times), tuple(pts), n_acc, n_rej, reason)
 
 
 def _section_for(
@@ -585,6 +573,16 @@ def brentq(f, lo, hi, f_lo, f_hi, xtol=2e-12, rtol=4 * sys.float_info.epsilon):
     raise RuntimeError(f"no convergence after 100 iterations, last estimate {xcur!r}")
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``n >= 2`` evenly spaced floats from ``lo`` to ``hi``, bit for bit as
+    ``numpy.linspace`` gives them, also when the step underflows to 0."""
+    span, div = hi - lo, n - 1
+    step = span / div
+    out = [i * step + lo if step else i / div * span + lo for i in range(n)]
+    out[-1] = hi
+    return out
+
+
 def _scan(c: CanonicalParams, radii: list[float]) -> list[float]:
     """Displacement at each radius at ``_SCAN_REL_TOL``; NaN where the
     orbit does not return."""
@@ -642,7 +640,8 @@ def detect_limit_cycles(
         raise ValueError(f"need 0 < r_min < r_max < inf, got {r_min}, {r_max}")
     if n_scan < 2:
         raise ValueError(f"n_scan must be at least 2, got {n_scan}")
-    radii = [float(r) for r in np.geomspace(r_min, r_max, n_scan)]
+    radii = [10.0**v for v in _linspace(math.log10(r_min), math.log10(r_max), n_scan)]
+    radii[0], radii[-1] = float(r_min), float(r_max)
     disp = _scan(c, radii)
 
     cycles: list[CycleRecord] = []

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import InsufficientDegree, InternalInconsistency, PreconditionViolated
 from .model import CLOSE_TOL, CanonicalParams, EigenvalueKind, close, jacobian
 
@@ -156,36 +154,23 @@ class TaylorField:
     """Polynomial truncation of the field around (1, 1).
 
     With u = x - 1 and v = y - 1, the coefficient of u**i v**j is
-    ``fx[i, j]`` in the first component and ``fy[i, j]`` in the second.
-    Entries with i + j > degree are zero.  ``params`` is the expanded system.
+    ``fx[i][j]`` in the first component and ``fy[i][j]`` in the second;
+    each is a (degree+1) x (degree+1) tuple of tuples of floats.  Entries
+    with i + j > degree are zero.  ``params`` is the expanded system.
     """
 
     degree: int
-    fx: np.ndarray
-    fy: np.ndarray
+    fx: tuple[tuple[float, ...], ...]
+    fy: tuple[tuple[float, ...], ...]
     params: CanonicalParams
 
-    def __post_init__(self) -> None:
-        self.fx.setflags(write=False)
-        self.fy.setflags(write=False)
 
-
-def _binom_coeffs(a: float, n: int) -> np.ndarray:
+def _binom_coeffs(a: float, n: int) -> list[float]:
     """Generalized binomial coefficients C(a, 0..n) for real a."""
-    out = np.empty(n + 1)
-    out[0] = 1.0
+    out = [1.0]
     for k in range(1, n + 1):
-        out[k] = out[k - 1] * (a - (k - 1)) / k
+        out.append(out[-1] * (a - (k - 1)) / k)
     return out
-
-
-@functools.cache
-def _over_cap(cap: int) -> np.ndarray:
-    """Read-only mask of the (cap+1, cap+1) entries of total degree > cap."""
-    ii, jj = np.indices((cap + 1, cap + 1))
-    mask = ii + jj > cap
-    mask.setflags(write=False)
-    return mask
 
 
 def taylor_expand(c: CanonicalParams, degree: int) -> TaylorField:
@@ -193,18 +178,25 @@ def taylor_expand(c: CanonicalParams, degree: int) -> TaylorField:
     if degree < 1:
         raise ValueError(f"degree must be at least 1, got {degree}")
     n = degree
-    fx = np.outer(_binom_coeffs(c.a1, n), _binom_coeffs(c.b1, n))
-    fy = -c.K * np.outer(_binom_coeffs(c.a3, n), _binom_coeffs(c.b3, n))
-    fx[0, 0] = 0.0
-    fy[0, 0] = 0.0
-    over = _over_cap(n)
-    fx[over] = 0.0
-    fy[over] = 0.0
+
+    def product(xs: list[float], ys: list[float], scale: float) -> tuple[tuple[float, ...], ...]:
+        return tuple(
+            tuple(scale * (xs[i] * ys[j]) if 0 < i + j <= n else 0.0 for j in range(n + 1))
+            for i in range(n + 1)
+        )
+
+    fx = product(_binom_coeffs(c.a1, n), _binom_coeffs(c.b1, n), 1.0)
+    fy = product(_binom_coeffs(c.a3, n), _binom_coeffs(c.b3, n), -c.K)
     return TaylorField(degree=n, fx=fx, fy=fy, params=c)
 
 
 # ---------------------------------------------------------------------------
 # Numerical Lyapunov quantities
+#
+# Polynomials in two variables are (cap+1) x (cap+1) nested lists.  Every
+# coefficient of a product is summed from 0 over the left factor's nonzero
+# entries in row-major order; that order fixes its bits, and skipping zero
+# terms or unread coefficients does not change them.
 
 
 @dataclass(frozen=True)
@@ -221,52 +213,56 @@ class LyapunovQuantities:
     omega: float
 
 
-def _poly_mul(A: np.ndarray, B: np.ndarray, cap: int) -> np.ndarray:
-    """Product of two bivariate coefficient arrays, truncated to total
-    degree <= cap.  Arrays are (cap+1, cap+1)."""
-    out = np.zeros((cap + 1, cap + 1), dtype=np.result_type(A, B, np.float64))
-    for i, j in zip(*np.nonzero(A)):
-        ni = cap + 1 - i
-        nj = cap + 1 - j
-        out[i:, j:] += A[i, j] * B[:ni, :nj]
-    out[_over_cap(cap)] = 0.0
+def _zeros(cap: int) -> list[list]:
+    return [[0.0] * (cap + 1) for _ in range(cap + 1)]
+
+
+def _terms(P) -> list[tuple[int, int, complex]]:
+    """Nonzero coefficients of P as (i, j, coefficient), row-major."""
+    return [(i, j, c) for i, row in enumerate(P) for j, c in enumerate(row) if c]
+
+
+def _poly_mul(A, B, cap: int) -> list[list]:
+    """Product of two bivariate polynomials, truncated to total degree <= cap."""
+    out = _zeros(cap)
+    b_terms = _terms(B)
+    for i, j, a in _terms(A):
+        for p, q, b in b_terms:
+            if i + j + p + q <= cap:
+                out[i + p][j + q] += a * b
     return out
 
 
-def _poly_powers(P: np.ndarray, cap: int) -> list[np.ndarray]:
+def _poly_powers(P, cap: int) -> list[list[list]]:
     """P**0 .. P**cap, truncated to total degree <= cap; each power is
     the one before times P."""
-    one = np.zeros((cap + 1, cap + 1), dtype=P.dtype)
-    one[0, 0] = 1.0
-    out = [one]
+    out = [_zeros(cap)]
+    out[0][0][0] = 1.0
     for _ in range(cap):
         out.append(_poly_mul(out[-1], P, cap))
     return out
 
 
 @functools.cache
-def _pq_monomials(cap: int) -> np.ndarray:
-    """Read-only table of p**m * q**n in (z, conj z) at ``[m, n]``,
-    truncated to total degree <= cap, with p = (z + conj z)/2 and
-    q = -i(z - conj z)/2.  It depends on ``cap`` alone, so each cap
-    builds it once; entries with m + n > cap are zero and never read."""
-    Zp = np.zeros((cap + 1, cap + 1), dtype=complex)
-    Zp[1, 0] = 0.5
-    Zp[0, 1] = 0.5
-    Zq = np.zeros((cap + 1, cap + 1), dtype=complex)
-    Zq[1, 0] = -0.5j
-    Zq[0, 1] = 0.5j
+def _pq_monomials(cap: int) -> tuple[tuple[tuple[tuple[int, int, complex], ...], ...], ...]:
+    """Read-only table of p**m * q**n in (z, conj z) for m + n <= cap:
+    ``[m][n]`` holds its nonzero coefficients of z**i conj(z)**j as
+    (i, j, coefficient), with p = (z + conj z)/2 and q = -i(z - conj z)/2.
+    It depends on ``cap`` alone, so each cap builds it once."""
+    Zp = _zeros(cap)
+    Zp[1][0] = Zp[0][1] = 0.5 + 0j
+    Zq = _zeros(cap)
+    Zq[1][0] = -0.5j
+    Zq[0][1] = 0.5j
     zp_pows = _poly_powers(Zp, cap)
     zq_pows = _poly_powers(Zq, cap)
-    table = np.zeros((cap + 1, cap + 1, cap + 1, cap + 1), dtype=complex)
-    for m in range(cap + 1):
-        for n in range(cap + 1 - m):
-            table[m, n] = _poly_mul(zp_pows[m], zq_pows[n], cap)
-    table.setflags(write=False)
-    return table
+    return tuple(
+        tuple(tuple(_terms(_poly_mul(zp_pows[m], zq_pows[n], cap))) for n in range(cap + 1 - m))
+        for m in range(cap + 1)
+    )
 
 
-def _complexified_field(tf: TaylorField, cap: int) -> tuple[float, np.ndarray]:
+def _complexified_field(tf: TaylorField, cap: int) -> tuple[float, list[list[complex]]]:
     """Rewrite the shifted field in a complex eigencoordinate.
 
     The linear part [[a, b], [c, d]] with a + d = 0 and det > 0 is
@@ -277,52 +273,41 @@ def _complexified_field(tf: TaylorField, cap: int) -> tuple[float, np.ndarray]:
     system must be PURELY_IMAGINARY; omega comes from the Taylor part.
     """
     _require_elliptic(tf.params)
-    a = float(tf.fx[1, 0])
-    b = float(tf.fx[0, 1])
-    cc = float(tf.fy[1, 0])
-    d = float(tf.fy[0, 1])
+    a, b = tf.fx[1][0], tf.fx[0][1]
+    cc, d = tf.fy[1][0], tf.fy[0][1]
     omega = math.sqrt(a * d - b * cc)
 
     # u, v as polynomials in (p, q): u = q, v = (omega*p - a*q)/b
-    V = np.zeros((cap + 1, cap + 1))
-    V[1, 0] = omega / b
-    V[0, 1] = -a / b
+    V = _zeros(cap)
+    V[1][0] = omega / b
+    V[0][1] = -a / b
+    v_terms = [_terms(Vj) for Vj in _poly_powers(V, cap)]
 
-    v_pows = _poly_powers(V, cap)
-
-    def substitute(coeffs: np.ndarray) -> np.ndarray:
+    def substitute(coeffs) -> list[list[float]]:
         # u**i is a shift by i in the q index
-        out = np.zeros((cap + 1, cap + 1))
-        n = coeffs.shape[0]
-        for i in range(min(n, cap + 1)):
-            for j in range(min(n, cap + 1 - i)):
-                w = coeffs[i, j]
-                if w == 0.0:
-                    continue
-                block = v_pows[j]
-                out[:, i:] += w * block[:, : cap + 1 - i]
-        out[_over_cap(cap)] = 0.0
+        out = _zeros(cap)
+        for i, j, w in _terms(coeffs):
+            if i + j <= cap:
+                for p, q, c in v_terms[j]:
+                    out[p][i + q] += w * c
         return out
 
-    G1 = substitute(np.asarray(tf.fx))
-    G2 = substitute(np.asarray(tf.fy))
-    P_dot = (a * G1 + b * G2) / omega
-    Q_dot = G1
-
-    W = P_dot + 1j * Q_dot
-    H = np.zeros((cap + 1, cap + 1), dtype=complex)
+    G1 = substitute(tf.fx)
+    G2 = substitute(tf.fy)
     pq = _pq_monomials(cap)
-    for m, n in zip(*np.nonzero(W)):
-        H += W[m, n] * pq[m, n]
+    H = [[0j] * (cap + 1) for _ in range(cap + 1)]
+    for m, pq_row in enumerate(pq):
+        for n, terms in enumerate(pq_row):
+            # dp/dt = (a*G1 + b*G2)/omega and dq/dt = G1
+            w = complex((a * G1[m][n] + b * G2[m][n]) / omega, G1[m][n])
+            if w:
+                for i, j, c in terms:
+                    H[i][j] += w * c
 
-    lin_err = max(abs(H[1, 0] - 1j * omega), abs(H[0, 1]))
+    lin_err = max(abs(H[1][0] - 1j * omega), abs(H[0][1]))
     if lin_err > 1e-9 * omega:
-        raise InternalInconsistency(
-            f"complexified linear part off by {lin_err}, omega = {omega}"
-        )
-    H[0, 0] = 0.0
-    H[1, 0] = 0.0
-    H[0, 1] = 0.0
+        raise InternalInconsistency(f"complexified linear part off by {lin_err}, omega = {omega}")
+    H[0][0] = H[1][0] = H[0][1] = 0j
     return omega, H
 
 
@@ -334,7 +319,9 @@ def lyapunov_numeric(tf: TaylorField, order: int) -> LyapunovQuantities:
     equations are diagonal in the monomial basis and the resonant
     coefficients eta cannot be removed.  The k-th reported quantity is
     eta_{k+1} / omega, the per-unit-frequency normalization that makes
-    values comparable across parameter sets.
+    values comparable across parameter sets.  A resonant coefficient
+    counts as real when its imaginary part is at most 1e-9 times the sum
+    of the magnitudes of the products it is made of.
 
     Needs tf.degree >= 2*order + 1 (else InsufficientDegree) and a
     PURELY_IMAGINARY ``jacobian(tf.params)`` (else PreconditionViolated).
@@ -347,29 +334,43 @@ def lyapunov_numeric(tf: TaylorField, order: int) -> LyapunovQuantities:
         )
     cap = 2 * order + 2
     omega, f = _complexified_field(tf, cap)
-
-    fbar = np.conj(f.T)
-    v = np.zeros((cap + 1, cap + 1), dtype=complex)
-    v[1, 1] = 1.0
+    fbar = [[f[q][p].conjugate() for q in range(cap + 1)] for p in range(cap + 1)]
+    v = [[0j] * (cap + 1) for _ in range(cap + 1)]
+    v[1][1] = 1.0 + 0j
     etas: list[float] = []
 
     for d in range(3, cap + 1):
-        vz = np.zeros_like(v)
-        vz[:-1, :] = v[1:, :] * np.arange(1, cap + 1)[:, None]
-        vzb = np.zeros_like(v)
-        vzb[:, :-1] = v[:, 1:] * np.arange(1, cap + 1)[None, :]
-        rhs = _poly_mul(vz, f, cap) + _poly_mul(vzb, fbar, cap)
+        # dV/dz and dV/d(conj z) paired with the field they multiply
+        factors = (
+            ([(p - 1, q, w * p) for p, q, w in _terms(v) if p], f),
+            ([(p, q - 1, w * q) for p, q, w in _terms(v) if q], fbar),
+        )
+        # only the degree-d coefficients of dV/dt are read
         for j in range(d + 1):
             k = d - j
-            g = rhs[j, k]
+            g = 0j
+            for terms, field in factors:
+                s = 0j
+                for p, q, w in terms:
+                    if p <= j and q <= k:
+                        s += w * field[j - p][k - q]
+                g += s
             if j == k:
-                if abs(g.imag) > 1e-9 * (1.0 + abs(g)):
+                size = sum(
+                    abs(w) * abs(field[j - p][k - q])
+                    for terms, field in factors
+                    for p, q, w in terms
+                    if p <= j and q <= k
+                )
+                if abs(g.imag) > 1e-9 * size:
                     raise InternalInconsistency(
                         f"resonant coefficient at degree {d} is not real: {g}"
                     )
                 etas.append(g.real)
             else:
-                v[j, k] = -g / (1j * omega * (j - k))
+                # -g / (1j*omega*(j - k)) by Smith's method with a reciprocal
+                scl = 1.0 / (omega * (j - k))
+                v[j][k] = complex(-g.imag * scl, g.real * scl)
 
     ell = [eta / omega for eta in etas[:order]]
     for k in range(1, order):

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import (
     DomainError,
     NonIsolatedEquilibrium,
@@ -219,10 +217,11 @@ def canonicalize(raw: RawLotkaParams) -> tuple[CanonicalParams, Point]:
     det = a1 * b3 - b1 * a3
     scale = max(1.0, abs(a1 * b3) + abs(b1 * a3))
     if abs(det) <= 1e-12 * scale:
-        mat = np.array([[a1, b1], [a3, b3]])
-        rhs = np.array([r1, r2])
-        sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-        if np.linalg.norm(mat @ sol - rhs) <= 1e-9 * (1.0 + np.linalg.norm(rhs)):
+        # the least-squares residual: the distance from r to the line of A's
+        # columns, by the two other 2x2 minors of [A | r] (|r| when A = 0)
+        size, rhs = math.hypot(a1, b1, a3, b3), math.hypot(r1, r2)
+        off = math.hypot(a1 * r2 - a3 * r1, b1 * r2 - b3 * r1)
+        if (off / size if size else rhs) <= 1e-9 * (1.0 + rhs):
             raise NonIsolatedEquilibrium(
                 "balance equations are degenerate but consistent; "
                 "equilibria form a continuum"

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import math
+import random
+from array import array
 
 import numpy as np
 import pytest
@@ -47,19 +49,19 @@ def test_linear_center_closes_after_one_turn():
 def test_equilibrium_is_stationary():
     tr = integrate(WEAK_FOCUS, (1.0, 1.0), t_max=5.0)
     assert tr.termination is TerminationReason.TIME_LIMIT
-    assert np.all(tr.points == 1.0)
+    assert all(p == (1.0, 1.0) for p in tr.points)
 
 
 def test_trajectory_invariants():
     tr = integrate(WEAK_FOCUS, (1.2, 1.0), t_max=10.0, rel_tol=1e-9)
     assert tr.termination is TerminationReason.TIME_LIMIT
-    assert np.all(np.diff(tr.times) > 0.0)
-    assert np.all(tr.points > 0.0)
+    assert all(t1 > t0 for t0, t1 in zip(tr.times, tr.times[1:]))
+    assert all(x > 0.0 and y > 0.0 for x, y in tr.points)
     assert tr.times[0] == 0.0
     assert tr.times[-1] == pytest.approx(10.0, abs=1e-12)
     assert tr.n_accepted == len(tr.times) - 1
-    with pytest.raises(ValueError):
-        tr.points[0, 0] = 2.0
+    with pytest.raises(TypeError):
+        tr.points[0][0] = 2.0
 
 
 def test_conserved_quantity_drift():
@@ -200,6 +202,30 @@ def test_numpy_scalar_systems_scan_like_float_ones(params, radii):
         CanonicalParams(*map(np.float64, params)), np.float64(r_min), np.float64(r_max), n_scan
     )
     assert _report_hex(as_numpy) == _report_hex(as_float)
+
+
+def _linspace_cases():
+    fixed = [
+        (-3.0, 3.0, 50),  # the default sweep axis
+        (math.log10(0.02), math.log10(1.5), 30),  # the default scan exponents
+        (-1e300, 1e300, 11),
+        (1.0, 1.0 + 2.0**-52, 3),
+        (0.0, 5e-324, 4),  # the step underflows to 0
+        (-5e-324, 5e-324, 9),
+    ]
+    rng = random.Random(3)
+    drawn = []
+    for _ in range(300):
+        scale = 10.0 ** rng.uniform(-320.0, 300.0)
+        lo = rng.uniform(-1.0, 1.0) * scale
+        drawn.append((lo, lo + rng.uniform(0.0, 2.0) * scale, rng.randint(2, 60)))
+    return fixed + drawn
+
+
+def test_linspace_matches_numpy_bit_for_bit():
+    for lo, hi, n in _linspace_cases():
+        expected = [float(v).hex() for v in np.linspace(lo, hi, n)]
+        assert [v.hex() for v in dynamics._linspace(lo, hi, n)] == expected, (lo, hi, n)
 
 
 def test_poincare_return_of_numpy_scalars_is_built_in_floats():
@@ -427,7 +453,9 @@ def test_return_map_golden_bits(name):
 
 def test_trajectory_golden_digest():
     tr = integrate(WEAK_FOCUS, (1.2, 1.0), t_max=10.0, rel_tol=1e-9)
-    digest = hashlib.sha256(tr.times.tobytes() + tr.points.tobytes()).hexdigest()
+    # the bytes of float64 arrays of the times and of the (x, y) rows
+    raw = array("d", tr.times).tobytes() + array("d", [v for p in tr.points for v in p]).tobytes()
+    digest = hashlib.sha256(raw).hexdigest()
     assert digest == "cd30565cf4a4a10bc5a8af01f071d64842ea38ed881a5829aae25f7b2ddc00c9"
     assert (tr.n_accepted, tr.n_rejected) == (504, 0)
 

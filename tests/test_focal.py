@@ -10,6 +10,7 @@ from lotkacenter import (
     CanonicalParams,
     FocalBranch,
     InsufficientDegree,
+    InternalInconsistency,
     PreconditionViolated,
     closed_form_focal,
     lyapunov_numeric,
@@ -21,35 +22,36 @@ from lotkacenter.cli import main
 
 
 def _poly_eval(tf, u, v):
-    n = tf.degree + 1
-    pu = np.array([u**i for i in range(n)])
-    pv = np.array([v**j for j in range(n)])
-    return float(pu @ tf.fx @ pv), float(pu @ tf.fy @ pv)
+    def value(coeffs):
+        return sum(w * u**i * v**j for i, row in enumerate(coeffs) for j, w in enumerate(row))
+
+    return value(tf.fx), value(tf.fy)
+
+
+def _count_nonzero(coeffs):
+    return sum(w != 0.0 for row in coeffs for w in row)
 
 
 def test_taylor_linear_field_is_exact():
     tf = taylor_expand(CanonicalParams(0.0, 1.0, 1.0, 0.0, 2.0), 3)
-    fx = np.zeros((4, 4))
-    fx[0, 1] = 1.0
-    fy = np.zeros((4, 4))
-    fy[1, 0] = -2.0
-    assert np.array_equal(tf.fx, fx)
-    assert np.array_equal(tf.fy, fy)
+    zero = (0.0, 0.0, 0.0, 0.0)
+    assert tf.fx == ((0.0, 1.0, 0.0, 0.0), zero, zero, zero)
+    assert tf.fy == (zero, (-2.0, 0.0, 0.0, 0.0), zero, zero)
 
 
 def test_taylor_pure_power_expansion():
     tf = taylor_expand(CanonicalParams(2.0, 0.0, 0.0, 0.0, 1.0), 3)
-    assert tf.fx[1, 0] == 2.0
-    assert tf.fx[2, 0] == 1.0
-    assert tf.fx[3, 0] == 0.0
-    assert np.count_nonzero(tf.fx) == 2
-    assert np.count_nonzero(tf.fy) == 0
+    assert tf.fx[1][0] == 2.0
+    assert tf.fx[2][0] == 1.0
+    assert tf.fx[3][0] == 0.0
+    assert _count_nonzero(tf.fx) == 2
+    assert _count_nonzero(tf.fy) == 0
 
 
 def test_taylor_fractional_power():
     tf = taylor_expand(CanonicalParams(0.5, 0.0, 0.0, 0.0, 1.0), 2)
-    assert tf.fx[1, 0] == pytest.approx(0.5, abs=1e-15)
-    assert tf.fx[2, 0] == pytest.approx(-0.125, abs=1e-15)
+    assert tf.fx[1][0] == pytest.approx(0.5, abs=1e-15)
+    assert tf.fx[2][0] == pytest.approx(-0.125, abs=1e-15)
 
 
 def test_taylor_matches_field_near_equilibrium():
@@ -201,9 +203,9 @@ _LYAPUNOV_GOLDEN = [
         CanonicalParams(2.0, -1.0, -3.0, 1.0, 2.0),
         FocalBranch.NOT_APPLICABLE,
         {
-            1: ("0x1.6a09e667f3bcep-2", "0x1.6a09e667f3bcdp+0"),
-            2: ("0x1.6a09e667f3bcep-2", "nan", "0x1.6a09e667f3bcdp+0"),
-            4: ("0x1.6a09e667f3bcep-2", "nan", "nan", "nan", "0x1.6a09e667f3bcdp+0"),
+            1: ("0x1.6a09e667f3bd6p-2", "0x1.6a09e667f3bcdp+0"),
+            2: ("0x1.6a09e667f3bd6p-2", "nan", "0x1.6a09e667f3bcdp+0"),
+            4: ("0x1.6a09e667f3bd6p-2", "nan", "nan", "nan", "0x1.6a09e667f3bcdp+0"),
         },
     ),
     (
@@ -214,10 +216,10 @@ _LYAPUNOV_GOLDEN = [
         ),
         FocalBranch.CASE_B_D_NONZERO,
         {
-            1: ("0x1.47ad2fb203ea8p-53", "0x1.6de6481366f11p+0"),
-            2: ("0x1.47ad2fb203ea8p-53", "-0x1.61ebbe6cd8ab7p-6", "0x1.6de6481366f11p+0"),
+            1: ("0x1.4fd4736d7a4bbp-53", "0x1.6de6481366f11p+0"),
+            2: ("0x1.4fd4736d7a4bbp-53", "-0x1.61ebbe6cd8ab0p-6", "0x1.6de6481366f11p+0"),
             4: (
-                "0x1.47ad2fb203ea8p-53", "-0x1.61ebbe6cd8ab7p-6", "nan", "nan",
+                "0x1.4fd4736d7a4bbp-53", "-0x1.61ebbe6cd8ab0p-6", "nan", "nan",
                 "0x1.6de6481366f11p+0",
             ),
         },
@@ -237,11 +239,11 @@ _LYAPUNOV_GOLDEN = [
         CanonicalParams(0.5, 2.0, 2.0, 0.5, 1.0),
         FocalBranch.CASE_B_D_NONZERO,
         {
-            1: ("-0x1.0624598470375p-55", "0x1.efbdeb14f4edap+0"),
-            2: ("-0x1.0624598470375p-55", "-0x1.3bc4b573ed939p-56", "0x1.efbdeb14f4edap+0"),
+            1: ("-0x1.ceb141cf4affep-56", "0x1.efbdeb14f4edap+0"),
+            2: ("-0x1.ceb141cf4affep-56", "-0x1.ae8cd4a998035p-57", "0x1.efbdeb14f4edap+0"),
             4: (
-                "-0x1.0624598470375p-55", "-0x1.3bc4b573ed939p-56",
-                "-0x1.b2e635a9ef054p-58", "0x1.32a1e8ea5c3a2p-56", "0x1.efbdeb14f4edap+0",
+                "-0x1.ceb141cf4affep-56", "-0x1.ae8cd4a998035p-57",
+                "-0x1.71fc7db79bdf6p-56", "0x1.653d8ec2aafa2p-57", "0x1.efbdeb14f4edap+0",
             ),
         },
     ),
@@ -259,19 +261,67 @@ def test_lyapunov_numeric_golden_bits(c, branch, golden):
 
 
 def test_cap_tables_are_read_only():
-    for table in (focal._pq_monomials(6), focal._over_cap(6)):
-        with pytest.raises(ValueError):
-            table[0, 0] = 0
+    table = focal._pq_monomials(6)
+    with pytest.raises(TypeError):
+        table[0] = ()
+    with pytest.raises(TypeError):
+        table[0][0] = ()
 
 
 @pytest.mark.parametrize("caps", [(4, 6, 10), (10, 4, 6)], ids=["ascending", "10-first"])
 def test_cap_tables_do_not_depend_on_build_order(caps):
     # orders 1, 2 and 4 read the tables of caps 4, 6 and 10
     focal._pq_monomials.cache_clear()
-    focal._over_cap.cache_clear()
     for cap in caps:
         focal._pq_monomials(cap)
     for c, _, golden in _LYAPUNOV_GOLDEN:
         for order, bits in golden.items():
             q = lyapunov_numeric(taylor_expand(c, 2 * order + 1), order)
             assert tuple(float(v).hex() for v in (*q.ell, q.omega)) == bits, (c, order)
+
+
+#: centers whose degree-10 resonant coefficient carries one-ulp imaginary
+#: residue of terms near 1e7-1e8, which an absolute realness test rejected:
+#: perfbench certify draws (seed 3 item 58, seed 20 item 2, seed 24 item 53,
+#: seed 38 item 49) and row draws of its center reproducer
+_RESONANT_RESIDUE_CENTERS = [
+    (2.283838951499503, -0.7427023165324407, -3.7058637702561406, 0.4577104246194304, 4.989702721755643),
+    (0.0, -3.8518144717071574, -4.974034236503321, 0.0, 3.468926251153693),
+    (2.2374700292105074, -0.7820686019143217, -4.4407848715542, 0.3940418435440756, 5.678254900764707),
+    (3.856652202203615, -4.778086825474478, -4.778086825474478, 3.856652202203615, 1.0),
+    (1.0, -1.0, -4.742048717967146, 0.24842475606756484, 4.025363719097411),
+    (4.48420185964936, -4.948374916865835, -4.948374916865835, 4.48420185964936, 1.0),
+    (3.45056398239531, -0.6668247982266013, -4.90461722362375, 0.46913378280491114, 7.35518120601906),
+    (0.0, -4.803402797211145, -4.327256621939602, 0.0, 3.8573899295411804),
+]
+
+
+@pytest.mark.parametrize("params", _RESONANT_RESIDUE_CENTERS)
+def test_lyapunov_numeric_returns_on_centers_with_rounding_residue(params):
+    q = lyapunov_numeric(taylor_expand(CanonicalParams(*params), 9), 4)
+    assert all(math.isfinite(e) for e in q.ell)
+
+
+@pytest.mark.parametrize("skew, fires", [(2.0, True), (2e-4, False)])
+def test_realness_check_scales_with_the_terms(monkeypatch, skew, fires):
+    # a linear center plus one cubic term s = 1e6j whose conjugate is off by
+    # `skew`: the degree-4 resonant coefficient is g = s + conj(s) = skew*1j,
+    # made of terms of size M = 2e6 - skew, so Im g is 1e-6*M or 1e-10*M
+    class Skewed(complex):
+        def conjugate(self):
+            return complex(self.real, skew - self.imag)
+
+    complexified = focal._complexified_field
+
+    def tampered(tf, cap):
+        omega, f = complexified(tf, cap)
+        f[2][1] = Skewed(0.0, 1e6)
+        return omega, f
+
+    monkeypatch.setattr(focal, "_complexified_field", tampered)
+    tf = taylor_expand(CanonicalParams(0.0, 1.0, 1.0, 0.0, 1.0), 3)
+    if fires:
+        with pytest.raises(InternalInconsistency, match="resonant coefficient at degree 4 is not real"):
+            lyapunov_numeric(tf, 1)
+    else:
+        assert lyapunov_numeric(tf, 1).ell == (0.0,)

@@ -1,6 +1,7 @@
 """Parameter containers, linearization, and canonicalization."""
 
 import math
+import random
 import re
 from dataclasses import fields
 from fractions import Fraction
@@ -204,6 +205,58 @@ def test_canonicalize_singular_consistent():
     raw = RawLotkaParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
     with pytest.raises(NonIsolatedEquilibrium):
         canonicalize(raw)
+
+
+def _singular_raw_draws(seed, n):
+    """Raw systems whose exponent matrix is exactly singular in floats: rank
+    one (proportional rows, or a zero first row) or zero, with rates whose
+    logs sit on the matrix's column line or off it by 1e-12 to 1."""
+    rng = random.Random(seed)
+    offsets = (0.0, 1e-12, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 1e-6, 1e-2, 1.0)
+
+    def dyadic():
+        return rng.randint(-40, 40) / 8.0
+
+    for i in range(n):
+        lam = rng.randint(-8, 8) / 4.0
+        if i % 4 < 2:
+            a1, b1 = dyadic(), dyadic()
+            a3, b3 = lam * a1, lam * b1
+        elif i % 4 == 2:
+            a1 = b1 = 0.0
+            a3, b3 = dyadic(), dyadic()
+        else:
+            a1 = b1 = a3 = b3 = 0.0
+        alpha2, beta2 = dyadic(), dyadic()
+        k1, k2, k4 = (math.exp(rng.uniform(-2.0, 2.0)) for _ in range(3))
+        off = rng.choice(offsets) * rng.choice((-1.0, 1.0))
+        if i % 4 < 2:
+            k3 = k4 * math.exp(lam * math.log(k2 / k1) + off)
+        else:
+            k2 = k1 * math.exp(off)
+            k3 = k4 * math.exp(rng.choice(offsets) if i % 4 == 3 else rng.uniform(-2.0, 2.0))
+        yield RawLotkaParams(
+            k1, k2, k3, k4, a1 + alpha2, b1 + beta2, alpha2, beta2, a3 + alpha2, b3 + beta2
+        )
+
+
+def test_canonicalize_singular_decision_matches_least_squares():
+    # oracle: numpy's least-squares residual against 1e-9 * (1 + |r|)
+    decided = set()
+    for i, raw in enumerate(_singular_raw_draws(31, 400)):
+        a1, b1, a3, b3 = raw.exponent_differences()
+        assert a1 * b3 - b1 * a3 == 0.0
+        mat = np.array([[a1, b1], [a3, b3]])
+        rhs = np.array([math.log(raw.k2 / raw.k1), math.log(raw.k3 / raw.k4)])
+        sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+        consistent = np.linalg.norm(mat @ sol - rhs) <= 1e-9 * (1.0 + np.linalg.norm(rhs))
+        expected = NonIsolatedEquilibrium if consistent else NoPositiveEquilibrium
+        with pytest.raises((NonIsolatedEquilibrium, NoPositiveEquilibrium)) as err:
+            canonicalize(raw)
+        assert err.type is expected, f"draw {i}: {raw}"
+        decided.add((i % 4, expected))
+    # every matrix shape meets both decisions
+    assert len(decided) == 8
 
 
 def _raw_field(raw, x, y):
