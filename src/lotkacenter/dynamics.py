@@ -18,9 +18,11 @@ a substep, so the reported crossing lies on the numerical orbit itself.
 
 Cycle search scans the displacement over radii, confirms each sign
 change at the refinement tolerance, and refines the confirmed brackets
-with Brent's method.  The Bautin construction takes its trace
-perturbation from the generalized-Hopf normal form and keeps the
-return-map scan as the certificate of the two-cycle shape.
+with Brent's method.  Brent stops at that same tolerance: the root of
+a return map at relTol is only as good as the map, so iterating below
+relTol buys return maps, not accuracy.  The Bautin construction takes
+its trace perturbation from the generalized-Hopf normal form and keeps
+the return-map scan as the certificate of the two-cycle shape.
 
 Each cycle-layer setting with one value in use is a module constant:
 the scan and refinement tolerances, the return map's period and step
@@ -79,7 +81,11 @@ _ESCAPE_HIGH = 1e4
 
 #: scan sign changes with both displacements under this are integration noise
 _NOISE_FLOOR = 1e-7
-#: return-map tolerances of a cycle scan and of the root refinement
+#: return-map tolerances of a cycle scan and of the root refinement.
+#: _REFINE_REL_TOL is also Brent's xtol: mapping at 1e-11 instead moves a
+#: refined root by a median 4.8e-11 and at most 2.1e-10 (20 seeded
+#: near-Bautin systems), so a smaller xtol spends return maps inside the
+#: maps' own noise
 _SCAN_REL_TOL = 1e-8
 _REFINE_REL_TOL = 1e-10
 #: the radius window and scan length of both Bautin stages
@@ -631,6 +637,10 @@ def detect_limit_cycles(
     """Scan the displacement over log-spaced radii at ``_SCAN_REL_TOL`` and
     refine each sign change to a periodic orbit at ``_REFINE_REL_TOL``.
 
+    Each refinement maps at ``_REFINE_REL_TOL`` and stops once Brent's
+    bracket is within ``_REFINE_REL_TOL``, the accuracy of those maps, so
+    a radius is refined to about that tolerance, not below it.
+
     Sign changes whose endpoints both sit under ``_NOISE_FLOOR`` are
     treated as integration noise (an exact center wobbles at the drift
     level).  Radii that fail to return contribute NaN and break the scan
@@ -652,7 +662,7 @@ def detect_limit_cycles(
             hi,
             f_lo,
             f_hi,
-            xtol=1e-12,
+            xtol=_REFINE_REL_TOL,
             rtol=8.9e-16,
         )
         # orbits just inside a stable cycle move outward
@@ -688,14 +698,15 @@ def bautin_scenario(b1: float, a3: float, delta_k: float) -> BautinResult:
     and shrunk by 0.6 up to five times until the stage-two scan shows the
     two-cycle shape.  Both stages scan the radii ``_BAUTIN_SCAN``.  The
     result has that shape; a base, a ``delta_k`` or a scan that cannot
-    give it raises BadBase.  That includes a ``delta_k`` that leaves stage
-    one without a finite positive K or a positive determinant.
+    give it raises BadBase.  That includes a non-finite ``b1`` or ``a3``
+    and a ``delta_k`` that leaves stage one without a finite positive K
+    or a positive determinant.
     """
-    base = CanonicalParams(a1=1.0, b1=b1, a3=a3, b3=1.0, K=1.0)
     try:
+        base = CanonicalParams(a1=1.0, b1=b1, a3=a3, b3=1.0, K=1.0)
         base_focal = closed_form_focal(base)
-    except PreconditionViolated as exc:
-        raise BadBase(f"base (b1={b1}, a3={a3}) is not elliptic: {exc}") from exc
+    except (ValueError, PreconditionViolated) as exc:
+        raise BadBase(f"base (b1={b1}, a3={a3}) is not an elliptic system: {exc}") from exc
     if base_focal.L2 is None or base_focal.L2 >= 0.0:
         raise BadBase(
             f"base (b1={b1}, a3={a3}) needs a negative second focal value, "

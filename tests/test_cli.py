@@ -420,7 +420,7 @@ def test_argument_fuzz_never_crashes(capsys):
         ),
         (
             ["bautin", "--b1", "-2", "--a3", "-3", "--dK", "0.02"],
-            "8ebb317e01c122f0a14a15deb2c758de881ce666cc4f05ea8511d4bf3695af1b",
+            "47681982ad9986a45a1457b309e5b46c629faf31f6e885168091df85b9fbedcf",
         ),
     ],
     ids=["cycles", "bautin"],

@@ -338,14 +338,14 @@ BAUTIN_BASES = ((-2.0, -3.0, 0.02), (2.0, 1.0, -0.02))
 
 
 @pytest.fixture(scope="module")
-def bautin_runs() -> dict[tuple[float, float, float], tuple[BautinResult, int]]:
+def bautin_runs() -> dict[tuple[float, float, float], tuple[BautinResult, list]]:
     """bautin_scenario on each acceptance base and the return maps it made."""
     runs = {}
     for base in BAUTIN_BASES:
         with pytest.MonkeyPatch.context() as mp:
             calls = _count_maps(mp)
             result = bautin_scenario(*base)
-        runs[base] = result, len(calls)
+        runs[base] = result, calls
     return runs
 
 
@@ -354,22 +354,54 @@ def _cycle_hex(report) -> list[tuple[str, str, str]]:
 
 
 def test_bautin_golden_bits(bautin_runs):
-    # float.hex captured when eps came to be read off the normal form
+    # eps captured when it came to be read off the normal form, the cycles
+    # when Brent's xtol became the refinement tolerance
     result, _ = bautin_runs[BAUTIN_BASES[0]]
     assert result.stage2_eps.hex() == "0x1.44b5031ba9994p-12"
     assert _cycle_hex(result.stage1_report) == [
-        ("0x1.52cc9188020fcp+0", "-0x1.0000000000000p-51", "Stable"),
+        ("0x1.52cc918803550p+0", "-0x1.2000000000000p-47", "Stable"),
     ]
     assert _cycle_hex(result.stage2_report) == [
-        ("0x1.3bbe436fb2cc9p-2", "-0x1.8000000000000p-51", "Unstable"),
-        ("0x1.2059215745a72p+0", "-0x1.0000000000000p-47", "Stable"),
+        ("0x1.3bbe436f9784ep-2", "-0x1.4000000000000p-48", "Unstable"),
+        ("0x1.205921574c649p+0", "-0x1.1400000000000p-45", "Stable"),
     ]
 
 
 def test_bautin_return_map_budget(bautin_runs):
-    # two scans and their refinements; eps is predicted, not searched for
-    for base, (_, maps) in bautin_runs.items():
-        assert maps <= 120, base
+    # two scans and their refinements; eps is predicted, not searched for,
+    # and Brent stops at the refinement maps' own tolerance (refining to
+    # 1e-12 takes 27 and 25 refinement maps, 87 and 85 in all)
+    refine_maps = dict(zip(BAUTIN_BASES, (22, 23)))
+    for base, (_, calls) in bautin_runs.items():
+        assert len(calls) <= 84, base
+        refine = sum(tol == dynamics._REFINE_REL_TOL for _, _, tol in calls)
+        assert refine == refine_maps[base], base
+
+
+def _refined_against_reference(monkeypatch, c, radii, report) -> list[float]:
+    """|radius - reference radius| of each cycle of ``report``, the
+    reference refined with maps at, and Brent stopped at, 1e-11."""
+    monkeypatch.setattr(dynamics, "_REFINE_REL_TOL", 1e-11)
+    ref = detect_limit_cycles(c, *radii)
+    monkeypatch.undo()
+    assert [cyc.stability for cyc in ref.cycles] == [cyc.stability for cyc in report.cycles]
+    return [abs(cyc.radius - r.radius) for cyc, r in zip(report.cycles, ref.cycles)]
+
+
+def test_refined_radii_match_a_finer_reference(monkeypatch, bautin_runs):
+    # a root is only as good as the maps it solves; 5e-10 holds for all but
+    # one of 180 roots of seeded near-Bautin systems and both bases (that
+    # one, a small flat cycle, is 5.2e-10 off)
+    single = CanonicalParams(0.98, 2.0, 1.0, 1.0, 0.98)
+    errors = _refined_against_reference(
+        monkeypatch, single, (0.2, 1.4, 15), detect_limit_cycles(single, 0.2, 1.4, 15)
+    )
+    result, _ = bautin_runs[BAUTIN_BASES[0]]
+    errors += _refined_against_reference(
+        monkeypatch, result.stage2_params, dynamics._BAUTIN_SCAN, result.stage2_report
+    )
+    assert len(errors) == 3
+    assert max(errors) <= 5e-10, errors
 
 
 def test_bautin_eps_is_half_the_normal_form_fold(bautin_runs):
@@ -381,8 +413,15 @@ def test_bautin_eps_is_half_the_normal_form_fold(bautin_runs):
 
 @pytest.mark.parametrize(
     "b1, a3, delta_k",
-    [(2.0, 3.0, 0.02), (1.0, 0.5, 0.02), (-2.0, -3.0, -0.02), (2.0, 1.0, 0.02)],
-    ids=["L2-positive", "not-elliptic", "dK-sign-base1", "dK-sign-base2"],
+    [
+        (2.0, 3.0, 0.02),
+        (1.0, 0.5, 0.02),
+        (-2.0, -3.0, -0.02),
+        (2.0, 1.0, 0.02),
+        (math.nan, -3.0, 0.02),
+        (-2.0, math.inf, 0.02),
+    ],
+    ids=["L2-positive", "not-elliptic", "dK-sign-base1", "dK-sign-base2", "b1-nan", "a3-inf"],
 )
 def test_bautin_bad_base_raises(b1, a3, delta_k):
     with pytest.raises(BadBase):
