@@ -1,9 +1,11 @@
 """Seeded parameter samplers shared across the test modules.
 
-Every sampler returns trace-zero parameter sets with det(J) bounded
-away from zero, and keeps constructed factors either exactly on their
-algebraic set or at a safe distance from it, so tolerance-window
-artifacts cannot blur the center/focus decision under test.
+Every sampler returns parameter sets with det(J) bounded away from
+zero, trace-zero ones but for the inner-cycle systems of
+``near_bautin_draws`` (whose trace is small and negative), and keeps
+constructed factors either exactly on their algebraic set or at a safe
+distance from it, so tolerance-window artifacts cannot blur the
+center/focus decision under test.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-from lotkacenter import CanonicalParams, jacobian
+from lotkacenter import CanonicalParams, closed_form_focal, jacobian
 from lotkacenter.classifier import CenterCase
 
 EXP_BOUND = 5.0
@@ -122,6 +124,36 @@ def c2_stratum_draws(seed: int, n: int) -> list[CanonicalParams]:
         c = CanonicalParams(1.0, float(b1), float(a3), 1.0, 1.0)
         if _det(c) >= DET_FLOOR:
             out.append(c)
+    return out
+
+
+def near_bautin_draws(seed: int, n: int) -> list[CanonicalParams]:
+    """Systems next to a weak focus of order two, with small limit cycles.
+
+    Each starts from a C2-stratum draw with L2 < 0 and sets b3 = 1 and
+    a1 = K = 1 + dk (trace zero), with dk of the sign and size that make
+    L1 about r**2 |L2| for r uniform in [0.2, 0.6]: one stable cycle.
+    Every second system lowers a1 below K by half the normal-form fold,
+    as stage two of the Bautin construction does, which adds an unstable
+    inner cycle.
+    """
+    rng = np.random.default_rng(seed)
+    out: list[CanonicalParams] = []
+    for base in c2_stratum_draws(seed, 4 * n):
+        if len(out) == n:
+            break
+        L2 = closed_form_focal(base).L2
+        if not L2 < 0.0:
+            continue
+        # L1 is linear in dk near the stratum
+        slope = closed_form_focal(CanonicalParams(1.001, base.b1, base.a3, 1.0, 1.001)).L1 / 1e-3
+        K = 1.0 + rng.uniform(0.2, 0.6) ** 2 * abs(L2) / slope
+        c = CanonicalParams(K, base.b1, base.a3, 1.0, K)
+        if len(out) % 2:
+            L1 = closed_form_focal(c).L1
+            eps = jacobian(c).omega * L1**2 / (8.0 * math.pi * abs(L2))
+            c = CanonicalParams(K - eps, base.b1, base.a3, 1.0, K)
+        out.append(c)
     return out
 
 

@@ -416,11 +416,11 @@ def test_argument_fuzz_never_crashes(capsys):
     [
         (
             ["cycles", "--a1", "0.98", "--b1", "2", "--a3", "1", "--b3", "1", "--K", "0.98"],
-            "a06ccee0e49efac88db9aaa2705191960583e5dd461362facab69d1e0bb43d7e",
+            "ceb2a8631fc795829d0aa06543d94ef74ad6bb4ae6aeae03085e2bc5a2c3ab27",
         ),
         (
             ["bautin", "--b1", "-2", "--a3", "-3", "--dK", "0.02"],
-            "47681982ad9986a45a1457b309e5b46c629faf31f6e885168091df85b9fbedcf",
+            "26a529076b65774de32d1b081c812a459a029cdb28df073f100d067a5ba9339e",
         ),
     ],
     ids=["cycles", "bautin"],

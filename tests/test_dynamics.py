@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 from array import array
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -337,15 +338,30 @@ def _count_maps(monkeypatch) -> list:
 BAUTIN_BASES = ((-2.0, -3.0, 0.02), (2.0, 1.0, -0.02))
 
 
+def _count_steps(monkeypatch) -> list:
+    """Record (rel_tol, accepted steps) of every integration from now on."""
+    runs = []
+    inner = dynamics._drive
+
+    def counted(c, x0, y0, t_max, rel_tol, t_char, **kwargs):
+        out = inner(c, x0, y0, t_max, rel_tol, t_char, **kwargs)
+        runs.append((rel_tol, out[2][0]))
+        return out
+
+    monkeypatch.setattr(dynamics, "_drive", counted)
+    return runs
+
+
 @pytest.fixture(scope="module")
 def bautin_runs() -> dict[tuple[float, float, float], tuple[BautinResult, list]]:
-    """bautin_scenario on each acceptance base and the return maps it made."""
+    """bautin_scenario on each acceptance base and the (rel_tol, accepted
+    steps) of each return map it made."""
     runs = {}
     for base in BAUTIN_BASES:
         with pytest.MonkeyPatch.context() as mp:
-            calls = _count_maps(mp)
+            maps = _count_steps(mp)
             result = bautin_scenario(*base)
-        runs[base] = result, calls
+        runs[base] = result, maps
     return runs
 
 
@@ -355,27 +371,73 @@ def _cycle_hex(report) -> list[tuple[str, str, str]]:
 
 def test_bautin_golden_bits(bautin_runs):
     # eps captured when it came to be read off the normal form, the cycles
-    # when Brent's xtol became the refinement tolerance
+    # when the scan's trusted signs came to narrow each bracket
     result, _ = bautin_runs[BAUTIN_BASES[0]]
     assert result.stage2_eps.hex() == "0x1.44b5031ba9994p-12"
     assert _cycle_hex(result.stage1_report) == [
-        ("0x1.52cc918803550p+0", "-0x1.2000000000000p-47", "Stable"),
+        ("0x1.52cc9187feadcp+0", "0x1.e800000000000p-46", "Stable"),
     ]
     assert _cycle_hex(result.stage2_report) == [
-        ("0x1.3bbe436f9784ep-2", "-0x1.4000000000000p-48", "Unstable"),
-        ("0x1.205921574c649p+0", "-0x1.1400000000000p-45", "Stable"),
+        ("0x1.3bbe436f7e7bfp-2", "-0x1.4800000000000p-47", "Unstable"),
+        ("0x1.20592157487cfp+0", "-0x1.9000000000000p-47", "Stable"),
     ]
 
 
 def test_bautin_return_map_budget(bautin_runs):
-    # two scans and their refinements; eps is predicted, not searched for,
-    # and Brent stops at the refinement maps' own tolerance (refining to
-    # 1e-12 takes 27 and 25 refinement maps, 87 and 85 in all)
-    refine_maps = dict(zip(BAUTIN_BASES, (22, 23)))
-    for base, (_, calls) in bautin_runs.items():
-        assert len(calls) <= 84, base
-        refine = sum(tol == dynamics._REFINE_REL_TOL for _, _, tol in calls)
-        assert refine == refine_maps[base], base
+    # two scans and their refinements; eps is predicted, not searched for.
+    # Each bracket is narrowed on scan maps, so refinement maps go only to
+    # Brent and to ends the scan cannot sign.  Confirming every bracket end
+    # at the refinement tolerance took 22 and 23 refinement maps, 60 scan
+    # maps and 39,785 and 31,505 accepted steps
+    budget = {  # base: (refinement maps, most scan maps, most accepted steps)
+        BAUTIN_BASES[0]: (13, 90, 31_100),
+        BAUTIN_BASES[1]: (11, 94, 22_200),
+    }
+    for base, (_, maps) in bautin_runs.items():
+        refine, scan_cap, step_cap = budget[base]
+        per_tol = Counter(tol for tol, _ in maps)
+        assert set(per_tol) == {dynamics._SCAN_REL_TOL, dynamics._REFINE_REL_TOL}, base
+        assert per_tol[dynamics._REFINE_REL_TOL] == refine, base
+        assert per_tol[dynamics._SCAN_REL_TOL] <= scan_cap, base
+        assert sum(steps for _, steps in maps) <= step_cap, base
+
+
+def test_scan_signs_beyond_the_noise_floor_hold_at_the_refinement_tolerance(
+    monkeypatch, bautin_runs
+):
+    # the premise of narrowing a bracket on scan maps: every bracket end,
+    # of the scan or of the narrowing, whose scan displacement is beyond
+    # _NOISE_FLOOR has the sign of the refinement map, and the two maps
+    # differ by at most a quarter of that displacement (the seeded systems
+    # keep over 30x; the large orbits of the first base, r = 1.1 to 1.5,
+    # differ by up to 3.6e-8, which leaves 5x at a narrowed end)
+    systems = helpers.near_bautin_draws(2020, 8)
+    for result, _ in bautin_runs.values():
+        systems += [result.stage1_params, result.stage2_params]
+    ends = set()
+    inner = dynamics._brackets
+
+    def spy(c, radii, disp):
+        for r0, r1, d0, d1 in zip(radii, radii[1:], disp, disp[1:]):
+            if d0 * d1 < 0.0:
+                ends.update({(c, r0), (c, r1)})
+        for bracket in inner(c, radii, disp):
+            ends.update({(c, bracket[0]), (c, bracket[1])})
+            yield bracket
+
+    monkeypatch.setattr(dynamics, "_brackets", spy)
+    for c in systems:
+        assert detect_limit_cycles(c, *dynamics._BAUTIN_SCAN).cycles
+    trusted = 0
+    for c, r in ends:
+        scan = section_displacement(c, r, dynamics._SCAN_REL_TOL)
+        if abs(scan) <= dynamics._NOISE_FLOOR:
+            continue
+        refined = section_displacement(c, r, dynamics._REFINE_REL_TOL)
+        assert (scan > 0.0) == (refined > 0.0), (c, r, scan, refined)
+        assert 4.0 * abs(scan - refined) <= abs(scan), (c, r, scan, refined)
+        trusted += 1
+    assert trusted >= 60, trusted
 
 
 def _refined_against_reference(monkeypatch, c, radii, report) -> list[float]:
@@ -437,7 +499,7 @@ def test_bautin_bad_delta_k_is_bad_base(delta_k):
 
 def test_single_cycle_golden_bits():
     rep = detect_limit_cycles(CanonicalParams(0.98, 2.0, 1.0, 1.0, 0.98), 0.2, 1.4, 15)
-    assert _cycle_hex(rep) == [("0x1.e4052af7094a5p-1", "0x1.5800000000000p-46", "Stable")]
+    assert _cycle_hex(rep) == [("0x1.e4052af71c7d0p-1", "-0x1.4300000000000p-42", "Stable")]
 
 
 @pytest.mark.parametrize(
