@@ -1,9 +1,9 @@
 """Adaptive integration, return maps and limit-cycle detection.
 
 The stepper is an embedded Dormand-Prince 5(4) pair on plain scalars,
-built once per integration as a closure over the system's exponents
-with the field inlined into each stage.  Two behaviors are deliberate
-rather than generic:
+written once, inside the stepping loop of ``_drive``, with the field
+inlined into each stage, so a step makes no Python call.  Two behaviors
+are deliberate rather than generic:
 
 * a positivity guard rejects and halves any step whose stages leave the
   open quadrant (or overflow), so power-law evaluation never sees a
@@ -13,8 +13,9 @@ rather than generic:
   relTol**2.5 and keeps tolerance halving an honest accuracy knob.
 
 Section crossings are located on the cubic Hermite interpolant of the
-bracketing step and then polished by Newton iterations that re-integrate
-a substep, so the reported crossing lies on the numerical orbit itself.
+bracketing step and then polished by Newton iterations that re-run the
+loop's stage block on a substep, so the reported crossing lies on the
+numerical orbit itself.
 
 Cycle search scans the displacement over radii and bisects each sign
 change on the scan map while the midpoint's displacement stays beyond
@@ -183,83 +184,9 @@ def _step_cap(t_char: float, rel_tol: float) -> float:
     return t_char * min(_CAP_STATIC, _CAP_GAMMA * math.sqrt(rel_tol))
 
 
-def _dp54_step(c: CanonicalParams):
-    """The DP54 step of one system.
-
-    ``step(x, y, fx, fy, h)`` takes the state and its field value and
-    returns ``(x1, y1, fx1, fy1, ex, ey)``: the new state, the field
-    there and the embedded error estimate.  It returns None when a stage
-    leaves the open quadrant, overflows or is not finite.  Every stage
-    inlines ``_field``, and the positivity test on the state it is
-    evaluated at guards it: a non-finite k2..k6 enters the next state
-    with a nonzero tableau coefficient, so that state is inf or NaN and
-    fails the test before any power runs.  Only k7, which leaves the
-    step, is tested for finiteness itself.
-    """
-    a1, b1, a3, b3, K = c.a1, c.b1, c.a3, c.b3, c.K
-    inf = math.inf
-    isfinite = math.isfinite
-    (a21,) = _A2
-    a31, a32 = _A3
-    a41, a42, a43 = _A4
-    a51, a52, a53, a54 = _A5
-    a61, a62, a63, a64, a65 = _A6
-    b_1, _, b_3, b_4, b_5, b_6 = _B
-    e1, _, e3, e4, e5, e6, e7 = _E
-
-    def step(x, y, k1x, k1y, h):
-        try:
-            xs = x + h * (a21 * k1x)
-            ys = y + h * (a21 * k1y)
-            if not (0.0 < xs < inf and 0.0 < ys < inf):
-                return None
-            k2x = xs**a1 * ys**b1 - 1.0
-            k2y = K * (1.0 - xs**a3 * ys**b3)
-
-            xs = x + h * (a31 * k1x + a32 * k2x)
-            ys = y + h * (a31 * k1y + a32 * k2y)
-            if not (0.0 < xs < inf and 0.0 < ys < inf):
-                return None
-            k3x = xs**a1 * ys**b1 - 1.0
-            k3y = K * (1.0 - xs**a3 * ys**b3)
-
-            xs = x + h * (a41 * k1x + a42 * k2x + a43 * k3x)
-            ys = y + h * (a41 * k1y + a42 * k2y + a43 * k3y)
-            if not (0.0 < xs < inf and 0.0 < ys < inf):
-                return None
-            k4x = xs**a1 * ys**b1 - 1.0
-            k4y = K * (1.0 - xs**a3 * ys**b3)
-
-            xs = x + h * (a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x)
-            ys = y + h * (a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y)
-            if not (0.0 < xs < inf and 0.0 < ys < inf):
-                return None
-            k5x = xs**a1 * ys**b1 - 1.0
-            k5y = K * (1.0 - xs**a3 * ys**b3)
-
-            xs = x + h * (a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x)
-            ys = y + h * (a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y)
-            if not (0.0 < xs < inf and 0.0 < ys < inf):
-                return None
-            k6x = xs**a1 * ys**b1 - 1.0
-            k6y = K * (1.0 - xs**a3 * ys**b3)
-
-            x1 = x + h * (b_1 * k1x + b_3 * k3x + b_4 * k4x + b_5 * k5x + b_6 * k6x)
-            y1 = y + h * (b_1 * k1y + b_3 * k3y + b_4 * k4y + b_5 * k5y + b_6 * k6y)
-            if not (0.0 < x1 < inf and 0.0 < y1 < inf):
-                return None
-            k7x = x1**a1 * y1**b1 - 1.0
-            k7y = K * (1.0 - x1**a3 * y1**b3)
-            if not (isfinite(k7x) and isfinite(k7y)):
-                return None
-        except OverflowError:
-            return None
-
-        ex = h * (e1 * k1x + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * k7x)
-        ey = h * (e1 * k1y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y)
-        return x1, y1, k7x, k7y, ex, ey
-
-    return step
+class _OffQuadrant(Exception):
+    """A DP54 stage state left the open quadrant, or the field at the
+    step's end is not finite."""
 
 
 @dataclass(frozen=True)
@@ -277,17 +204,6 @@ class _SectionHit:
     crossings: int
 
 
-def _hermite_component(s0, f0, s1, f1, h, theta, idx):
-    t2 = theta * theta
-    t3 = t2 * theta
-    return (
-        (2.0 * t3 - 3.0 * t2 + 1.0) * s0[idx]
-        + (t3 - 2.0 * t2 + theta) * h * f0[idx]
-        + (-2.0 * t3 + 3.0 * t2) * s1[idx]
-        + (t3 - t2) * h * f1[idx]
-    )
-
-
 def _drive(
     c: CanonicalParams,
     x0: float,
@@ -302,6 +218,23 @@ def _drive(
 ):
     """Shared stepping loop; ``t_char`` is ``_char_period(c)``.
 
+    The loop runs the DP54 stages itself, with the field inlined into
+    each, so a step makes no Python call.  A stage block that leaves the
+    open quadrant, overflows or ends on a non-finite field raises
+    ``_OffQuadrant`` or ``OverflowError``; a step rejected so is halved.
+    Every stage is guarded by the positivity test on the state it is
+    evaluated at: a non-finite k2..k6 enters the next state with a
+    nonzero tableau coefficient, so that state is inf or NaN and fails
+    the test before any power runs.  Only k7, which leaves the step, is
+    tested for finiteness itself.
+
+    A step that crosses the section puts the loop into its polish state:
+    ``_locate_crossing`` finds the crossing on the step's Hermite
+    interpolant, and up to six Newton iterations re-run the same stage
+    block from the step's start with the substep ``dt``, so the reported
+    crossing lies on the numerical orbit.  A failed substep ends the
+    polish on the last good one.
+
     The start, the horizon and the tolerance are taken as built-in
     floats, as the parameters are, so no numpy scalar reaches the
     stepper.  Returns (reason, hit, (accepted, rejected), (times,
@@ -311,7 +244,16 @@ def _drive(
     if not 1e-13 <= rel_tol <= 1e-3:
         raise ValueError(f"rel_tol must lie in [1e-13, 1e-3], got {rel_tol}")
     x0, y0, t_max, rel_tol = float(x0), float(y0), float(t_max), float(rel_tol)
-    step = _dp54_step(c)
+    a1, b1, a3, b3, K = c.a1, c.b1, c.a3, c.b3, c.K
+    (a21,) = _A2
+    a31, a32 = _A3
+    a41, a42, a43 = _A4
+    a51, a52, a53, a54 = _A5
+    a61, a62, a63, a64, a65 = _A6
+    b_1, _, b_3, b_4, b_5, b_6 = _B
+    e1, _, e3, e4, e5, e6, e7 = _E
+    inf = math.inf
+    isfinite = math.isfinite
     sqrt = math.sqrt
     low, high = _ESCAPE_LOW, _ESCAPE_HIGH
     atol = 1e-3 * rel_tol
@@ -331,6 +273,10 @@ def _drive(
     pts = [(x, y)] if record else []
     hit: _SectionHit | None = None
     reason = TerminationReason.TIME_LIMIT
+    # Newton iterations left in the polish of a section crossing: while
+    # positive, the stage block runs the substep dt from the state (x, y)
+    # instead of a step; -1 ends the polish in the pass that sets it
+    polish = 0
     if section is not None:
         axis, direction, t_min = section.axis, section.direction, section.t_min
         g0 = (y if axis else x) - 1.0
@@ -338,54 +284,142 @@ def _drive(
     # the per-step path spells max/min as comparisons that pick the same
     # floats; x, x1, y and y1 are positive, so the scales need no abs
     while t < t_max:
-        if n_acc + n_rej >= step_budget:
-            reason = TerminationReason.STEP_BUDGET
-            break
-        if t_max - t < h:
-            h = t_max - t
-        if h < h_min:
-            if t_max - t < 100.0 * h_min:
-                reason = TerminationReason.TIME_LIMIT
-            elif x < 10.0 * low or y < 10.0 * low or x > 0.1 * high or y > 0.1 * high:
-                reason = TerminationReason.QUADRANT_ESCAPE
-            else:
+        if polish:
+            if 0.0 > dt:
+                dt = 0.0
+            if h < dt:
+                dt = h
+            hs = dt
+        else:
+            if n_acc + n_rej >= step_budget:
                 reason = TerminationReason.STEP_BUDGET
-            break
-        new = step(x, y, fx, fy, h)
-        if new is None:
-            n_rej += 1
-            h *= 0.5
-            continue
-        x1, y1, fx1, fy1, ex, ey = new
-        sc_x = atol + rel_tol * (x if x > x1 else x1)
-        sc_y = atol + rel_tol * (y if y > y1 else y1)
-        err = sqrt(0.5 * ((ex / sc_x) ** 2 + (ey / sc_y) ** 2))
-        if err > 1.0:
-            n_rej += 1
-            fac = 0.9 * err**-0.2
-            h *= fac if fac > 0.2 else 0.2
-            continue
+                break
+            if t_max - t < h:
+                h = t_max - t
+            if h < h_min:
+                if t_max - t < 100.0 * h_min:
+                    reason = TerminationReason.TIME_LIMIT
+                elif x < 10.0 * low or y < 10.0 * low or x > 0.1 * high or y > 0.1 * high:
+                    reason = TerminationReason.QUADRANT_ESCAPE
+                else:
+                    reason = TerminationReason.STEP_BUDGET
+                break
+            hs = h
 
-        t1 = t + h
-        if section is not None:
-            g1 = (y1 if axis else x1) - 1.0
-            crossed = (g0 > 0.0 > g1) or (g0 < 0.0 < g1) or (g1 == 0.0 and g0 != 0.0)
-            if crossed and t1 > t_min:
-                hit_t, hit_x, hit_y, hit_f = _locate_crossing(
-                    step, t, (x, y), (fx, fy), (x1, y1), (fx1, fy1), h, axis
-                )
-                if hit_t > t_min:
-                    crossings += 1
-                    if math.copysign(1.0, hit_f) == direction:
-                        hit = _SectionHit(t=hit_t, x=hit_x, y=hit_y, crossings=crossings)
-                        if record:
-                            times.append(hit_t)
-                            pts.append((hit_x, hit_y))
-                        reason = TerminationReason.SECTION_RETURN
-                        break
-            g0 = g1
+        try:
+            xs = x + hs * (a21 * fx)
+            ys = y + hs * (a21 * fy)
+            if not (0.0 < xs < inf and 0.0 < ys < inf):
+                raise _OffQuadrant
+            k2x = xs**a1 * ys**b1 - 1.0
+            k2y = K * (1.0 - xs**a3 * ys**b3)
 
-        t, x, y, fx, fy = t1, x1, y1, fx1, fy1
+            xs = x + hs * (a31 * fx + a32 * k2x)
+            ys = y + hs * (a31 * fy + a32 * k2y)
+            if not (0.0 < xs < inf and 0.0 < ys < inf):
+                raise _OffQuadrant
+            k3x = xs**a1 * ys**b1 - 1.0
+            k3y = K * (1.0 - xs**a3 * ys**b3)
+
+            xs = x + hs * (a41 * fx + a42 * k2x + a43 * k3x)
+            ys = y + hs * (a41 * fy + a42 * k2y + a43 * k3y)
+            if not (0.0 < xs < inf and 0.0 < ys < inf):
+                raise _OffQuadrant
+            k4x = xs**a1 * ys**b1 - 1.0
+            k4y = K * (1.0 - xs**a3 * ys**b3)
+
+            xs = x + hs * (a51 * fx + a52 * k2x + a53 * k3x + a54 * k4x)
+            ys = y + hs * (a51 * fy + a52 * k2y + a53 * k3y + a54 * k4y)
+            if not (0.0 < xs < inf and 0.0 < ys < inf):
+                raise _OffQuadrant
+            k5x = xs**a1 * ys**b1 - 1.0
+            k5y = K * (1.0 - xs**a3 * ys**b3)
+
+            xs = x + hs * (a61 * fx + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x)
+            ys = y + hs * (a61 * fy + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y)
+            if not (0.0 < xs < inf and 0.0 < ys < inf):
+                raise _OffQuadrant
+            k6x = xs**a1 * ys**b1 - 1.0
+            k6y = K * (1.0 - xs**a3 * ys**b3)
+
+            x1 = x + hs * (b_1 * fx + b_3 * k3x + b_4 * k4x + b_5 * k5x + b_6 * k6x)
+            y1 = y + hs * (b_1 * fy + b_3 * k3y + b_4 * k4y + b_5 * k5y + b_6 * k6y)
+            if not (0.0 < x1 < inf and 0.0 < y1 < inf):
+                raise _OffQuadrant
+            fx1 = x1**a1 * y1**b1 - 1.0
+            fy1 = K * (1.0 - x1**a3 * y1**b3)
+            if not (isfinite(fx1) and isfinite(fy1)):
+                raise _OffQuadrant
+        except (OverflowError, _OffQuadrant):
+            if not polish:
+                n_rej += 1
+                h *= 0.5
+                continue
+            polish = -1
+
+        if polish:
+            if polish > 0:
+                xr, yr, fr = x1, y1, (fy1 if axis else fx1)
+                g = (yr if axis else xr) - 1.0
+                if abs(g) <= 1e-14 or fr == 0.0:
+                    polish = -1
+                else:
+                    dt -= g / fr
+                    polish -= 1
+                    if polish:
+                        continue
+            polish = 0
+            hit_t = t + dt
+            if hit_t > t_min:
+                crossings += 1
+                if math.copysign(1.0, fr) == direction:
+                    hit = _SectionHit(t=hit_t, x=xr, y=yr, crossings=crossings)
+                    if record:
+                        times.append(hit_t)
+                        pts.append((xr, yr))
+                    reason = TerminationReason.SECTION_RETURN
+                    break
+            x1, y1, fx1, fy1 = step_end
+        else:
+            ex = h * (e1 * fx + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * fx1)
+            ey = h * (e1 * fy + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * fy1)
+            u = ex / (atol + rel_tol * (x if x > x1 else x1))
+            v = ey / (atol + rel_tol * (y if y > y1 else y1))
+            # a capped step with 0.5 * (u*u + v*v) <= 0.2 has err <= 0.448:
+            # it is accepted, and its growth factor, at least 1.05, is
+            # clamped back to the cap, so the step keeps h = h_cap without
+            # the sqrt and the power below; every other step takes them
+            if h == h_cap and 0.5 * (u * u + v * v) <= 0.2:
+                h_next = h_cap
+            else:
+                err = sqrt(0.5 * (u**2 + v**2))
+                if err > 1.0:
+                    n_rej += 1
+                    fac = 0.9 * err**-0.2
+                    h *= fac if fac > 0.2 else 0.2
+                    continue
+                # err <= 1 here (a NaN err takes 5.0), so the growth factor
+                # is at least 0.9 and only its upper clamp can act
+                fac = 0.9 * err**-0.2 if err > 0 else 5.0
+                h_next = h * (fac if fac < 5.0 else 5.0)
+                if h_next > h_cap:
+                    h_next = h_cap
+
+            if section is not None:
+                g1 = (y1 if axis else x1) - 1.0
+                crossed = (g0 > 0.0 > g1) or (g0 < 0.0 < g1) or (g1 == 0.0 and g0 != 0.0)
+                g0 = g1
+                if crossed and t + h > t_min:
+                    step_end = x1, y1, fx1, fy1
+                    if axis:
+                        dt = _locate_crossing(y, fy, y1, fy1, h)
+                    else:
+                        dt = _locate_crossing(x, fx, x1, fx1, h)
+                    xr, yr, fr = x1, y1, (fy1 if axis else fx1)
+                    polish = 6
+                    continue
+
+        t, x, y, fx, fy = t + h, x1, y1, fx1, fy1
         n_acc += 1
         if record:
             times.append(t)
@@ -393,12 +427,7 @@ def _drive(
         if not (low < x < high and low < y < high):
             reason = TerminationReason.QUADRANT_ESCAPE
             break
-        # err <= 1 here (a NaN err takes 5.0), so the growth factor is at
-        # least 0.9 and only its upper clamp can act
-        fac = 0.9 * err**-0.2 if err > 0 else 5.0
-        h *= fac if fac < 5.0 else 5.0
-        if h > h_cap:
-            h = h_cap
+        h = h_next
 
     else:
         reason = TerminationReason.TIME_LIMIT
@@ -406,14 +435,23 @@ def _drive(
     return reason, hit, (n_acc, n_rej), (times, pts), (t, x, y)
 
 
-def _locate_crossing(step, t0, s0, f0, s1, f1, h, axis):
-    """Root of component ``axis`` minus 1 inside the step from ``s0`` to
-    ``s1``, polished so the returned state lies on the numerical orbit."""
+def _locate_crossing(p0: float, d0: float, p1: float, d1: float, h: float) -> float:
+    """Time into a step of size ``h`` at which the cubic Hermite
+    interpolant of a coordinate crosses 1, by bisection; ``p0``, ``d0``
+    and ``p1``, ``d1`` are the coordinate and its derivative at the
+    step's two ends.  ``_drive`` polishes the result on the orbit."""
     lo, hi = 0.0, 1.0
-    glo = s0[axis] - 1.0
+    glo = p0 - 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        gm = _hermite_component(s0, f0, s1, f1, h, mid, axis) - 1.0
+        t2 = mid * mid
+        t3 = t2 * mid
+        gm = (
+            (2.0 * t3 - 3.0 * t2 + 1.0) * p0
+            + (t3 - 2.0 * t2 + mid) * h * d0
+            + (-2.0 * t3 + 3.0 * t2) * p1
+            + (t3 - t2) * h * d1
+        ) - 1.0
         if gm == 0.0:
             lo = hi = mid
             break
@@ -421,25 +459,7 @@ def _locate_crossing(step, t0, s0, f0, s1, f1, h, axis):
             lo, glo = mid, gm
         else:
             hi = mid
-    dt = 0.5 * (lo + hi) * h
-
-    # Newton on the re-integrated substep
-    xr, yr, fr = s1[0], s1[1], f1
-    for _ in range(6):
-        dt = min(max(dt, 0.0), h)
-        sub = step(s0[0], s0[1], f0[0], f0[1], dt)
-        if sub is None:
-            break
-        xr, yr = sub[0], sub[1]
-        fr = (sub[2], sub[3])
-        g = (xr, yr)[axis] - 1.0
-        if abs(g) <= 1e-14:
-            break
-        deriv = fr[axis]
-        if deriv == 0.0:
-            break
-        dt -= g / deriv
-    return t0 + dt, xr, yr, fr[axis]
+    return 0.5 * (lo + hi) * h
 
 
 def integrate(

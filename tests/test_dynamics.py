@@ -552,20 +552,82 @@ def test_return_map_golden_bits(name):
         ), rel_tol
 
 
+def _trajectory_digest(tr) -> str:
+    """sha256 of the bytes of float64 arrays of the times and of the (x, y) rows."""
+    raw = array("d", tr.times).tobytes() + array("d", [v for p in tr.points for v in p]).tobytes()
+    return hashlib.sha256(raw).hexdigest()
+
+
 def test_trajectory_golden_digest():
     tr = integrate(WEAK_FOCUS, (1.2, 1.0), t_max=10.0, rel_tol=1e-9)
-    # the bytes of float64 arrays of the times and of the (x, y) rows
-    raw = array("d", tr.times).tobytes() + array("d", [v for p in tr.points for v in p]).tobytes()
-    digest = hashlib.sha256(raw).hexdigest()
+    digest = _trajectory_digest(tr)
     assert digest == "cd30565cf4a4a10bc5a8af01f071d64842ea38ed881a5829aae25f7b2ddc00c9"
     assert (tr.n_accepted, tr.n_rejected) == (504, 0)
 
 
+#: the stepper's cold paths, captured before its stages moved into the
+#: stepping loop: (params, start, t_max, rel_tol, step_budget) -> (sha256,
+#: accepted, rejected, termination)
+_COLD_PATH_GOLDEN = {
+    # two positivity-guard halvings at the start, then two error rejections
+    "error-rejections-escape": (
+        ((4.0, -3.0, -3.0, 4.0, 1.0), (2.5, 0.4), 20.0, 1e-9, None),
+        ("86cac71acbd5e26f58249ace4bf30a8d869304247ba2f75472d1b3bd15cf10a1", 295, 4, "QuadrantEscape"),
+    ),
+    "step-budget": (
+        ((0.0, 1.0, 1.0, 0.0, 1.0), (1.3, 1.0), 1000.0, 1e-9, 40),
+        ("1dbcad0c95d1c45398e6653e452d25adec53c8ccce38ea5ef509b180bc4bd668", 40, 0, "StepBudget"),
+    ),
+    # a budget that is not an integer stops at the first count reaching it
+    "step-budget-fractional": (
+        ((0.0, 1.0, 1.0, 0.0, 1.0), (1.3, 1.0), 1000.0, 1e-9, 40.5),
+        ("8f064456374c7f67444190c8c72ba85699c119e4d8bcb9a718cd43965a4e0e5c", 41, 0, "StepBudget"),
+    ),
+    # one mid-run stage leaves the quadrant; the halved step is accepted
+    "guard-halving": (
+        ((1.0, 2.0, 1.0, 1.0, 1.0), (6.0, 1.0), 20.0, 1e-3, None),
+        ("dce6023adb86ee6681a315463621469a0125d5db0b20812a835c7c1918c151c0", 45, 1, "TimeLimit"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COLD_PATH_GOLDEN))
+def test_trajectory_cold_path_golden(name):
+    (params, start, t_max, rel_tol, budget), golden = _COLD_PATH_GOLDEN[name]
+    kwargs = {} if budget is None else {"step_budget": budget}
+    tr = integrate(CanonicalParams(*params), start, t_max, rel_tol, **kwargs)
+    got = (_trajectory_digest(tr), tr.n_accepted, tr.n_rejected, tr.termination.value)
+    assert got == golden
+
+
+def test_x_section_return_golden_bits():
+    # the fallback section x = 1 (axis 0), which poincare_return opens only
+    # when a3 = 0; captured before the stepper's stages moved into its loop
+    t_char = dynamics._char_period(WEAK_FOCUS)
+    section = dynamics._Section(axis=0, direction=1.0, t_min=1e-8 * t_char)
+    reason, hit, counts, _, _ = dynamics._drive(
+        WEAK_FOCUS, 1.0, 1.2, dynamics._PERIODS_BUDGET * t_char, 1e-9, t_char, section=section
+    )
+    assert reason is TerminationReason.SECTION_RETURN
+    assert (hit.t.hex(), hit.x.hex(), hit.y.hex(), hit.crossings) == (
+        "0x1.9bc3e2af2892ep+2",
+        "0x1.0000000000000p+0",
+        "0x1.332c647d2517cp+0",
+        2,
+    )
+    assert counts == (323, 0)
+
+
 def test_step_rejects_stage_overflow_without_raising():
-    # stage 2's x-field is inf as the product of two finite powers; the
-    # next stage's state turns inf and the positivity guard rejects it
-    step = dynamics._dp54_step(CanonicalParams(2.0, 2.0, 1.0, 1.0, 1.0))
-    assert step(1e100, 1e100, 0.0, 0.0, 1e-3) is None
+    # from this start, stage 2's x-field is inf as the product of two
+    # finite powers (about 1e195 * 1e200); the next stage's state turns
+    # inf and the positivity guard rejects the step.  Every step fails so,
+    # and 39 halvings take h from the cap (3.2e11 h_min) below h_min
+    start = (1e-50, 1e100)
+    tr = integrate(CanonicalParams(2.0, 2.0, 1.0, 1.0, 1.0), start, 1.0)
+    assert (tr.n_accepted, tr.n_rejected) == (0, 39)
+    assert tr.termination is TerminationReason.QUADRANT_ESCAPE
+    assert tr.times == (0.0,) and tr.points == (start,)
 
 
 @pytest.mark.parametrize("t_max", [math.nan, 0.0, -1.0])
