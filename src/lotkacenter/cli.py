@@ -18,7 +18,7 @@ import sys
 from dataclasses import fields
 from enum import Enum
 
-from .classifier import CenterCase, CenterClassification, Verdict, classify
+from .classifier import CASE_CONSTRAINTS, CenterCase, CenterClassification, Verdict, classify
 from .conserved import (
     FirstIntegral,
     IntegralCase,
@@ -61,15 +61,8 @@ _RAW_FLAGS = (
     "beta3",
 )
 
-_CASE_BY_NAME = {
-    "i": CenterCase.I,
-    "ii": CenterCase.II,
-    "iii": CenterCase.III,
-    "iv": CenterCase.IV,
-    "r1": CenterCase.R1,
-    "r2": CenterCase.R2,
-    "r1r2": IntegralCase.R1_CAP_R2,
-}
+#: --case names: each center family in lower case, and the shared subfamily
+_CASE_BY_NAME = {case.value.lower(): case for case in CenterCase} | {"r1r2": IntegralCase.R1_CAP_R2}
 
 
 class _UsageError(Exception):
@@ -168,21 +161,6 @@ def _focal_pairs(fv: FocalValues) -> list[tuple[str, object]]:
     return [("L1", fv.L1), ("L2", fv.L2)]
 
 
-#: the L2 factor that each center family makes vanish, on the (b3 = 1,
-#: K = 1) corner and on the generic branch, in the order they are printed
-_C2_FACTORS = {
-    CenterCase.III: "a3 = -1",
-    CenterCase.IV: "b1 = -1",
-    CenterCase.R1: "a3 = b1",
-}
-_QUARTIC_FACTORS = {
-    CenterCase.II: "1+a3-b3*K = 0",
-    CenterCase.IV: "1-b3*K = 0",
-    CenterCase.R1: "1-K = 0",
-    CenterCase.R2: "1+a3+K-b3*K = 0",
-}
-
-
 def _witness(result: CenterClassification) -> str:
     """Why the verdict holds: the failed linear test, the focal value that
     does not vanish, or the vanishing L2 factor of each matched family."""
@@ -202,8 +180,9 @@ def _witness(result: CenterClassification) -> str:
         return "b3 = 0"
     if fv.branch is FocalBranch.CASE_C1:
         return "b3 = 1, a3 = -1"
-    factors = _C2_FACTORS if c2 else _QUARTIC_FACTORS
-    tokens = [factors[case] for case in factors if case in result.cases]
+    matched = [fam for case, fam in CASE_CONSTRAINTS.items() if case in result.cases]
+    factors = [fam.c2_factor if c2 else fam.generic_factor for fam in matched]
+    tokens = [factor for factor in factors if factor]
     return "; ".join(["b3 = 1, K = 1", *tokens] if c2 else tokens)
 
 

@@ -474,8 +474,8 @@ def integrate(
     x0, y0 = _positive_xy(start)
     if not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    if not step_budget >= 1:
-        raise ValueError(f"step_budget must be at least 1, got {step_budget}")
+    if not (hasattr(step_budget, "__index__") and step_budget >= 1):
+        raise ValueError(f"step_budget must be an integer of at least 1, got {step_budget!r}")
     reason, _, (n_acc, n_rej), (times, pts), _ = _drive(
         c, x0, y0, t_max, rel_tol, _char_period(c), step_budget=step_budget, record=True
     )

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .classifier import _r2_equalities
+from .classifier import CASE_CONSTRAINTS, CenterCase
 from .errors import CaseMismatch
-from .model import CanonicalParams, Point, _positive_xy, vector_field
+from .model import CanonicalParams, Point, _positive_xy, close, vector_field
 
 __all__ = [
     "TransformedField",
@@ -69,12 +69,12 @@ class TransformedField:
 def r2_transform(c: CanonicalParams) -> TransformedField:
     """Build the reversible form for the second reversible family.
 
-    Requires the family's equalities as the classifier tests them:
-    a1 = K*b3, a3 = K*b1 and K = 1/(b3 - b1 - 1) within ``CLOSE_TOL``,
-    with b3 - b1 - 1 > 0.  Raises CaseMismatch otherwise, a non-positive
-    denominator included.
+    Requires the family's ``holds`` in ``CASE_CONSTRAINTS``, but not its
+    region |b3| < |b1|: a1 = K*b3, a3 = K*b1 and K = 1/(b3 - b1 - 1) within
+    ``CLOSE_TOL``, with b3 - b1 - 1 > 0.  Raises CaseMismatch otherwise, a
+    non-positive denominator included.
     """
-    if not _r2_equalities(c):
+    if not CASE_CONSTRAINTS[CenterCase.R2].holds(close, c.a1, c.b1, c.a3, c.b3, c.K):
         raise CaseMismatch(f"{c} does not satisfy the second reversible family")
     return TransformedField(
         e_u1=1.0 - 1.0 / c.K + c.b3,

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from lotkacenter import CanonicalParams, closed_form_focal, jacobian
-from lotkacenter.classifier import CenterCase
+from lotkacenter.classifier import CASE_CONSTRAINTS, CenterCase
 
 EXP_BOUND = 5.0
 DET_FLOOR = 1e-2
@@ -43,41 +43,36 @@ def elliptic_draws(seed: int, n: int) -> list[CanonicalParams]:
 
 
 def _row_draw(rng, case: CenterCase) -> CanonicalParams | None:
+    """The free parameters of ``case`` in the RNG's order, built into a
+    point through the family table."""
     if case is CenterCase.I:
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        a3 = sign * rng.uniform(0.3, EXP_BOUND)
-        b1 = sign * rng.uniform(0.3, EXP_BOUND)
-        K = math.exp(rng.uniform(-1.5, 1.5))
-        c = CanonicalParams(0.0, float(b1), float(a3), 0.0, float(K))
+        a3, b1 = sign * rng.uniform(0.3, EXP_BOUND), sign * rng.uniform(0.3, EXP_BOUND)
+        free = b1, a3, math.exp(rng.uniform(-1.5, 1.5))
     elif case is CenterCase.II:
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        a1 = sign * rng.uniform(0.2, 2.0)
-        b3 = sign * rng.uniform(0.2, 2.0)
+        a1, b3 = sign * rng.uniform(0.2, 2.0), sign * rng.uniform(0.2, 2.0)
         if a1 + b3 > 1.0 - MARGIN:
             return None
-        c = CanonicalParams(float(a1), float(b3 - 1.0), float(a1 - 1.0), float(b3), float(a1 / b3))
+        free = a1, b3
     elif case is CenterCase.III:
         a1 = rng.uniform(0.2, 4.0)
-        b1 = rng.uniform(-EXP_BOUND, -a1 - MARGIN)
-        c = CanonicalParams(float(a1), float(b1), -1.0, 1.0, float(a1))
+        free = a1, rng.uniform(-EXP_BOUND, -a1 - MARGIN)
     elif case is CenterCase.IV:
         b3 = rng.uniform(0.2, 4.0)
-        a3 = rng.uniform(-EXP_BOUND, -b3 - MARGIN)
-        c = CanonicalParams(1.0, -1.0, float(a3), float(b3), float(1.0 / b3))
+        free = rng.uniform(-EXP_BOUND, -b3 - MARGIN), b3
     elif case is CenterCase.R1:
         b1 = rng.uniform(0.3, EXP_BOUND) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        a1 = rng.uniform(-abs(b1) + MARGIN, abs(b1) - MARGIN)
-        c = CanonicalParams(float(a1), float(b1), float(b1), float(a1), 1.0)
+        free = rng.uniform(-abs(b1) + MARGIN, abs(b1) - MARGIN), b1
     else:
         b1 = rng.uniform(-EXP_BOUND, -0.6)
         lo, hi = b1 + 1.0 + MARGIN, -b1 - MARGIN
         if lo >= hi:
             return None
-        b3 = rng.uniform(lo, hi)
-        K = 1.0 / (b3 - b1 - 1.0)
-        c = CanonicalParams(float(K * b3), float(b1), float(K * b1), float(b3), float(K))
-        if abs(c.a1) > EXP_BOUND or abs(c.a3) > EXP_BOUND or c.K > 25.0:
-            return None
+        free = b1, rng.uniform(lo, hi)
+    c = CanonicalParams(*CASE_CONSTRAINTS[case].point(*free))
+    if case is CenterCase.R2 and (abs(c.a1) > EXP_BOUND or abs(c.a3) > EXP_BOUND or c.K > 25.0):
+        return None
     if _det(c) < DET_FLOOR:
         return None
     return c

@@ -3,6 +3,7 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the verdict lines.
 """
 
+import hashlib
 import math
 import time
 
@@ -71,13 +72,20 @@ def test_criterion_1_algebraic_set_equals_vanishing_locus():
     started = time.perf_counter()
     bad = 0
     n_zero = 0
+    case_sets = []
     for c in draws:
         vanishes = _closed_form_vanishes(closed_form_focal(c))
-        matched = bool(match_table_cases(c))
+        case_sets.append(match_table_cases(c))
         n_zero += vanishes
-        if vanishes != matched:
+        if vanishes != bool(case_sets[-1]):
             bad += 1
     elapsed = time.perf_counter() - started
+    # the matched sets themselves, one bit per family in ROWS order, as
+    # captured before the families moved into one table
+    masks = bytes(sum(1 << i for i, case in enumerate(ROWS) if case in s) for s in case_sets)
+    assert hashlib.sha256(masks).hexdigest() == (
+        "bf8ca3e4693ec6301b5714d3bc4ebd0aa18ecbf3be6cf5865b557aa3c68517e2"
+    )
     ok = bad == 0 and elapsed < 60.0
     _verdict(
         1,

@@ -1,7 +1,11 @@
 """Six-case matching and the center/focus verdict."""
 
+import hashlib
 import itertools
+import struct
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +25,7 @@ from lotkacenter import (
     match_table_cases,
     taylor_expand,
 )
+from lotkacenter.classifier import CASE_CONSTRAINTS
 from lotkacenter.cli import _witness, main
 
 ALL_CASES = (
@@ -64,6 +69,57 @@ def test_match_rows_by_construction():
         for i, c in enumerate(helpers.center_row_draws(100 + row_index, case, 25)):
             assert case in match_table_cases(c), f"{case} draw {i}"
             assert jacobian(c).determinant > 0.0, f"{case} draw {i}"
+
+
+def test_row_draws_digest():
+    # the samplers' draws, bit for bit, as captured before they were built
+    # through the family table
+    h = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for case in ALL_CASES:
+            for c in helpers.center_row_draws(seed, case, 100):
+                h.update(struct.pack("<5d", c.a1, c.b1, c.a3, c.b3, c.K))
+    assert h.hexdigest() == "d9654d7d9655ea2fc27136f0d6035dda40768797c7d4a060a0750fa84a1e56c0"
+
+
+def test_match_sets_near_the_families_digest():
+    # 2,400 draws on the families and the two focal strata, each moved off
+    # them at five scales (a fresh default_rng(7) per scale: a1, b1, a3 get
+    # N(0, s) added, K is scaled by 1 + N(0, s), and b3 = a1/K); the matched
+    # sets as captured before the families moved into one table
+    base = []
+    for row_index, case in enumerate(ALL_CASES):
+        base += helpers.center_row_draws(10 + row_index, case, 300)
+    base += helpers.c2_stratum_draws(99, 300) + helpers.case_b_stratum_draws(98, 300)
+    case_sets = []
+    for s in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+        noise = np.random.default_rng(7).normal(0.0, s, (len(base), 4))
+        for c, (da1, db1, da3, dk) in zip(base, noise.tolist()):
+            a1, K = c.a1 + da1, c.K * (1.0 + dk)
+            case_sets.append(match_table_cases(CanonicalParams(a1, c.b1 + db1, c.a3 + da3, a1 / K, K)))
+    assert len(case_sets) == 12_000
+    masks = bytes(sum(1 << i for i, case in enumerate(ALL_CASES) if case in cs) for cs in case_sets)
+    assert hashlib.sha256(masks).hexdigest() == (
+        "c00ac5c290d18c2c977a0cabc094f5dcc762f28fc0a3b59f466931ba8f43e6b0"
+    )
+
+
+def test_family_points_are_exact_over_the_rationals():
+    # rational free parameters next to the samplers' draws: through
+    # ``point`` every equality pair is equal in Q and every strict
+    # inequality holds, and the float image of the point matches its family
+    for row_index, case in enumerate(ALL_CASES):
+        fam = CASE_CONSTRAINTS[case]
+        for i, c in enumerate(helpers.center_row_draws(700 + row_index, case, 12)):
+            free = [Fraction(getattr(c, name)).limit_denominator(1000) for name in fam.free]
+            p = fam.point(*free)
+            assert all(type(x) in (int, Fraction) for x in p), f"{case} draw {i}: {p}"
+            pairs = []
+            # an ``eq`` that records each pair and lets every test run
+            assert fam.holds(lambda u, v: pairs.append((u, v)) or True, *p), f"{case} draw {i}"
+            assert fam.region(*p), f"{case} draw {i}"
+            assert pairs and all(u == v for u, v in pairs), f"{case} draw {i}: {pairs}"
+            assert case in match_table_cases(CanonicalParams(*p)), f"{case} draw {i}"
 
 
 def test_classify_center_examples():

@@ -578,10 +578,10 @@ _COLD_PATH_GOLDEN = {
         ((0.0, 1.0, 1.0, 0.0, 1.0), (1.3, 1.0), 1000.0, 1e-9, 40),
         ("1dbcad0c95d1c45398e6653e452d25adec53c8ccce38ea5ef509b180bc4bd668", 40, 0, "StepBudget"),
     ),
-    # a budget that is not an integer stops at the first count reaching it
-    "step-budget-fractional": (
-        ((0.0, 1.0, 1.0, 0.0, 1.0), (1.3, 1.0), 1000.0, 1e-9, 40.5),
-        ("8f064456374c7f67444190c8c72ba85699c119e4d8bcb9a718cd43965a4e0e5c", 41, 0, "StepBudget"),
+    # any integer type, here one with __index__, binds the same way
+    "step-budget-index": (
+        ((0.0, 1.0, 1.0, 0.0, 1.0), (1.3, 1.0), 1000.0, 1e-9, np.int64(40)),
+        ("1dbcad0c95d1c45398e6653e452d25adec53c8ccce38ea5ef509b180bc4bd668", 40, 0, "StepBudget"),
     ),
     # one mid-run stage leaves the quadrant; the halved step is accepted
     "guard-halving": (
@@ -652,6 +652,14 @@ def test_integrate_rejects_non_positive_start(start):
 def test_integrate_rejects_non_positive_step_budget(step_budget):
     with pytest.raises(ValueError, match="step_budget"):
         integrate(WEAK_FOCUS, (1.2, 1.0), 1.0, step_budget=step_budget)
+
+
+@pytest.mark.parametrize("step_budget", [40.5, math.inf, 40.0], ids=["fractional", "inf", "integral-float"])
+def test_integrate_rejects_non_integer_step_budget(step_budget):
+    # the budget counts steps, so it is an integer (anything with __index__);
+    # a float, even a whole one, is refused
+    with pytest.raises(ValueError, match="step_budget must be an integer"):
+        integrate(CanonicalParams(0.0, 1.0, 1.0, 0.0, 1.0), (1.3, 1.0), 1000.0, step_budget=step_budget)
 
 
 @pytest.mark.parametrize(
