@@ -137,12 +137,13 @@ def match_table_cases(c: CanonicalParams) -> frozenset[CenterCase]:
 def classify(c: CanonicalParams) -> CenterClassification:
     """Full verdict for one parameter set.
 
-    ``jacobian`` alone decides the linearization: ZERO_EIGENVALUE gives
-    DegenerateDetZero, NOT_ELLIPTIC gives NotElliptic, and a linearization
-    that is not finite raises PreconditionViolated.  Otherwise
-    the closed-form focal values decide focus versus center, and the
-    center verdict must be corroborated by at least one family match or
-    an ``InternalInconsistency`` is raised.
+    ``jacobian`` alone decides the linearization, and it runs once per
+    call: ZERO_EIGENVALUE gives DegenerateDetZero, NOT_ELLIPTIC gives
+    NotElliptic, and a linearization that is not finite raises
+    PreconditionViolated.  Otherwise the closed-form focal values, handed
+    the same summary, decide focus versus center, and the center verdict
+    must be corroborated by at least one family match or an
+    ``InternalInconsistency`` is raised.
     """
     summary = jacobian(c)
     if summary.eigenvalue_kind is EigenvalueKind.ZERO_EIGENVALUE:
@@ -150,7 +151,7 @@ def classify(c: CanonicalParams) -> CenterClassification:
     if summary.eigenvalue_kind is not EigenvalueKind.PURELY_IMAGINARY:
         return CenterClassification(Verdict.NOT_ELLIPTIC, frozenset(), None)
 
-    fv = closed_form_focal(c)
+    fv = closed_form_focal(c, summary=summary)
     if fv.L2 is None or abs(fv.L2) > L2_ZERO_TOL:
         deciding = fv.L1 if fv.L2 is None else fv.L2
         verdict = Verdict.FOCUS_STABLE if deciding < 0.0 else Verdict.FOCUS_UNSTABLE

@@ -763,7 +763,8 @@ def bautin_scenario(b1: float, a3: float, delta_k: float) -> BautinResult:
     k1 = 1.0 + delta_k
     try:
         stage1 = CanonicalParams(a1=k1, b1=b1, a3=a3, b3=1.0, K=k1)
-        stage1_focal = closed_form_focal(stage1)
+        stage1_linear = jacobian(stage1)
+        stage1_focal = closed_form_focal(stage1, summary=stage1_linear)
     except (ValueError, PreconditionViolated) as exc:
         raise BadBase(
             f"stage 1 of base (b1={b1}, a3={a3}, dK={delta_k}) is not an "
@@ -778,8 +779,7 @@ def bautin_scenario(b1: float, a3: float, delta_k: float) -> BautinResult:
         )
     # with d(r)/r ~ -pi*eps/omega + L1 r**2 + L2 r**4 two cycles exist for
     # 0 < eps < omega L1**2 / (4 pi |L2|); take half that fold
-    omega = jacobian(stage1).omega
-    eps = omega * stage1_focal.L1**2 / (8.0 * math.pi * abs(base_focal.L2))
+    eps = stage1_linear.omega * stage1_focal.L1**2 / (8.0 * math.pi * abs(base_focal.L2))
 
     for _ in range(6):
         stage2 = CanonicalParams(a1=k1 - eps, b1=b1, a3=a3, b3=1.0, K=k1)

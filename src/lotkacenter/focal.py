@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InsufficientDegree, InternalInconsistency, PreconditionViolated
-from .model import CLOSE_TOL, CanonicalParams, EigenvalueKind, close, jacobian
+from .model import CLOSE_TOL, CanonicalParams, EigenvalueKind, JacobianSummary, close, jacobian
 
 __all__ = [
     "FocalBranch",
@@ -62,9 +62,8 @@ class FocalValues:
     branch: FocalBranch
 
 
-def _require_elliptic(c: CanonicalParams) -> float:
-    """omega of a PURELY_IMAGINARY ``jacobian(c)``; other kinds raise."""
-    js = jacobian(c)
+def _require_elliptic(js: JacobianSummary) -> float:
+    """omega of a PURELY_IMAGINARY linearization; other kinds raise."""
     if js.eigenvalue_kind is not EigenvalueKind.PURELY_IMAGINARY:
         raise PreconditionViolated(
             f"linearization is {js.eigenvalue_kind.value}: trace {js.trace}, det {js.determinant}"
@@ -72,18 +71,23 @@ def _require_elliptic(c: CanonicalParams) -> float:
     return js.omega
 
 
-def closed_form_focal(c: CanonicalParams) -> FocalValues:
+def closed_form_focal(
+    c: CanonicalParams, *, summary: JacobianSummary | None = None
+) -> FocalValues:
     """Exact first and second focal values for a trace-free elliptic point.
 
     Raises PreconditionViolated unless ``jacobian`` calls the linearization
-    PURELY_IMAGINARY, and when omega*b1 is 0 in floating point.  When L1
+    PURELY_IMAGINARY, and when omega*b1 is 0 in floating point.  A caller
+    that already holds ``jacobian(c)`` passes it as ``summary``, and its
+    kind and omega are used instead of computing the linearization again;
+    a summary of another system gives meaningless values.  When L1
     vanishes the branch for L2 is decided on the algebra: b3 = 0 and the
     (b3 = 1, a3 = -1) corner force L2 = 0, the (b3 = 1, K = 1) corner has
     its own quartic product formula, and the generic branch (D != 0, b3
     not in {0, 1}) has the six-factor formula.
     """
     a1, b1, a3, b3, K = c.a1, c.b1, c.a3, c.b3, c.K
-    root = _require_elliptic(c)
+    root = _require_elliptic(jacobian(c) if summary is None else summary)
 
     d_value = 1.0 + a3 - a3 * K - b3 * K
     bracket = b1 * d_value - a3 * (1.0 - b3) * K
@@ -272,7 +276,7 @@ def _complexified_field(tf: TaylorField, cap: int) -> tuple[float, list[list[com
     where f has no constant or linear part.  ``jacobian`` of the expanded
     system must be PURELY_IMAGINARY; omega comes from the Taylor part.
     """
-    _require_elliptic(tf.params)
+    _require_elliptic(jacobian(tf.params))
     a, b = tf.fx[1][0], tf.fx[0][1]
     cc, d = tf.fy[1][0], tf.fy[0][1]
     omega = math.sqrt(a * d - b * cc)

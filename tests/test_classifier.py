@@ -14,7 +14,10 @@ import helpers
 from lotkacenter import (
     CanonicalParams,
     CenterCase,
+    CenterClassification,
     FocalBranch,
+    FocalValues,
+    InternalInconsistency,
     LotkaError,
     PreconditionViolated,
     Verdict,
@@ -82,15 +85,20 @@ def test_row_draws_digest():
     assert h.hexdigest() == "d9654d7d9655ea2fc27136f0d6035dda40768797c7d4a060a0750fa84a1e56c0"
 
 
+def _near_family_base() -> list[CanonicalParams]:
+    """2,400 draws: 300 on each family, then on the C2 and case B strata."""
+    base = []
+    for row_index, case in enumerate(ALL_CASES):
+        base += helpers.center_row_draws(10 + row_index, case, 300)
+    return base + helpers.c2_stratum_draws(99, 300) + helpers.case_b_stratum_draws(98, 300)
+
+
 def test_match_sets_near_the_families_digest():
     # 2,400 draws on the families and the two focal strata, each moved off
     # them at five scales (a fresh default_rng(7) per scale: a1, b1, a3 get
     # N(0, s) added, K is scaled by 1 + N(0, s), and b3 = a1/K); the matched
     # sets as captured before the families moved into one table
-    base = []
-    for row_index, case in enumerate(ALL_CASES):
-        base += helpers.center_row_draws(10 + row_index, case, 300)
-    base += helpers.c2_stratum_draws(99, 300) + helpers.case_b_stratum_draws(98, 300)
+    base = _near_family_base()
     case_sets = []
     for s in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
         noise = np.random.default_rng(7).normal(0.0, s, (len(base), 4))
@@ -348,3 +356,122 @@ def test_classification_record_text(capsys):
     assert main(["classify", "--a1", "2", "--b1", "-1", "--a3", "-3", "--b3", "1", "--K", "2"]) == 1
     text = capsys.readouterr().out
     assert "verdict=FocusUnstable" in text
+
+
+#: two of the near-family draws of test_match_sets_near_the_families_digest
+#: (scales 1e-9 and 1e-8) on which closed_form_focal's branch split raises:
+#: D ~ 0 with b3 not 1, and b3 ~ 1 with neither K = 1 nor a3 = -1
+FOCAL_BRANCH_RAISES = (
+    CanonicalParams(
+        0.2269037879504446, -4.663676679216955, -0.9999999991623714,
+        1.0000000030417742, 0.2269037872602545,
+    ),
+    CanonicalParams(
+        1.0122266302638014, -1.9157034385843585, -0.9999999952402949,
+        0.9999999989428641, 1.0122266313338626,
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "c, outcome",
+    [
+        (CanonicalParams(1.0, 1.0, 1.0, 1.0, 1.0), Verdict.DEGENERATE_DET_ZERO),
+        (CanonicalParams(2.0, 1.0, 1.0, 1.0, 1.0), Verdict.NOT_ELLIPTIC),
+        (CanonicalParams(1.0, 2.0, 1.0, 1.0, 1.0), Verdict.FOCUS_STABLE),
+        (CanonicalParams(0.0, 1.0, 1.0, 0.0, 3.0), Verdict.CENTER),
+        (FOCAL_BRANCH_RAISES[0], "with D = "),
+        (FOCAL_BRANCH_RAISES[1], "neither K = 1 nor a3 = -1"),
+    ],
+    ids=["degenerate", "not-elliptic", "focus", "center", "raise-d-zero", "raise-b3-one"],
+)
+def test_classify_linearizes_once(monkeypatch, c, outcome):
+    # one jacobian call per classify, whether the focal values are needed,
+    # decide the verdict or raise in their branch split
+    calls = []
+
+    def counted(arg):
+        calls.append(arg)
+        return jacobian(arg)
+
+    monkeypatch.setattr("lotkacenter.classifier.jacobian", counted)
+    monkeypatch.setattr("lotkacenter.focal.jacobian", counted)
+    if isinstance(outcome, Verdict):
+        assert classify(c).verdict is outcome
+    else:
+        with pytest.raises(InternalInconsistency, match=outcome):
+            classify(c)
+    assert calls == [c]
+
+
+def _focal_bits(fv):
+    return (
+        fv.L1.hex(),
+        None if fv.L2 is None else fv.L2.hex(),
+        fv.d_value.hex(),
+        fv.branch,
+    )
+
+
+def _outcome(fn, c):
+    try:
+        return fn(c)
+    except LotkaError as exc:
+        return exc
+
+
+def _same_error(got, want):
+    return type(got) is type(want) and str(got) == str(want)
+
+
+def test_classify_focal_values_are_closed_form_focal_bits():
+    # the near-family draws of test_match_sets_near_the_families_digest at
+    # 1e-9 to 1e-6, each trace-free and once more with b3 moved off a1/K:
+    # classify, which hands its summary on, gives closed_form_focal's bits
+    # or its exact error; where the point is not elliptic, closed_form_focal
+    # raises the same message with the summary as without it
+    base = _near_family_base()
+    seen = {"focal": 0, "raise": 0, "refused": 0}
+    bad = []
+    for s in (1e-9, 1e-8, 1e-7, 1e-6):
+        noise = np.random.default_rng(7).normal(0.0, s, (len(base), 4))
+        tilt = np.random.default_rng(8).normal(0.0, s, len(base))
+        for i, (c, (da1, db1, da3, dk), db3) in enumerate(zip(base, noise.tolist(), tilt.tolist())):
+            a1, K = c.a1 + da1, c.K * (1.0 + dk)
+            for b3 in (a1 / K, a1 / K + db3):
+                d = CanonicalParams(a1, c.b1 + db1, c.a3 + da3, b3, K)
+                want, got = _outcome(closed_form_focal, d), _outcome(classify, d)
+                if isinstance(got, CenterClassification) and got.focal is not None:
+                    seen["focal"] += 1
+                    ok = isinstance(want, FocalValues) and _focal_bits(got.focal) == _focal_bits(want)
+                elif isinstance(got, CenterClassification):
+                    seen["refused"] += 1
+                    again = _outcome(lambda d: closed_form_focal(d, summary=jacobian(d)), d)
+                    ok = isinstance(want, PreconditionViolated) and _same_error(again, want)
+                elif isinstance(want, LotkaError):
+                    seen["raise"] += 1
+                    ok = _same_error(got, want)
+                else:
+                    # the classifier's own raise: L2 vanishes, no family matches
+                    ok = isinstance(got, InternalInconsistency) and "no center family" in str(got)
+                if not ok:
+                    bad.append((s, i, d, want, got))
+    assert not bad, f"{len(bad)} differ, first {bad[:2]}"
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        CanonicalParams(1.0, 1.0, 1.0, 1.0, 1.0),
+        CanonicalParams(2.0, 1.0, 1.0, 1.0, 1.0),
+        CanonicalParams(1.0, 2.0, 1.0, 1.0, 2.0),
+    ],
+    ids=["degenerate", "saddle", "trace-nonzero"],
+)
+def test_closed_form_focal_refuses_a_non_elliptic_summary(c):
+    with pytest.raises(PreconditionViolated) as without:
+        closed_form_focal(c)
+    with pytest.raises(PreconditionViolated) as given:
+        closed_form_focal(c, summary=jacobian(c))
+    assert str(given.value) == str(without.value)
