@@ -1,11 +1,11 @@
 """Six-case center classification of the canonical system.
 
 A trace-free elliptic equilibrium is a center exactly when the
-parameters land on one of six algebraic families, each written down
-once in ``CASE_CONSTRAINTS`` below and read from there by the matcher,
-the R2 transform and the CLI witness.  The classifier cross-checks the
-focal-value route (L1, L2) against direct membership testing and
-refuses to emit an answer when the two disagree.
+parameters land on one of six algebraic families.  ``CASE_CONSTRAINTS``
+below holds each family's equalities and guards, which the matcher, the
+R2 transform and the CLI witness read; the det > 0 that closes each is
+``model.jacobian``'s.  The classifier cross-checks the focal values
+(L1, L2) against the matcher and refuses to answer when they disagree.
 """
 
 from __future__ import annotations
@@ -59,18 +59,18 @@ class CaseConstraints:
     """One center family: ``point`` maps the ``free`` parameters to (a1,
     b1, a3, b3, K); ``holds(eq, a1, b1, a3, b3, K)`` hands ``eq`` each
     equality as the (lhs, rhs) pair that ``close`` compares, among the
-    strict inequalities the pairs need, and stops at the first that fails;
-    ``region`` is the strict inequality that closes the family.  Arithmetic
-    uses integer literals: all three are exact on Fractions, and on floats
-    they give the bits that float literals would.  The factors are the L2
+    strict inequalities the pairs need, and stops at the first that fails.
+    No entry tests det > 0: that is ``jacobian``'s.  Arithmetic uses
+    integer literals: both are exact on Fractions, and on floats they give
+    the bits that float literals would.  The factors are the L2
     factor that the family makes vanish on the (b3 = 1, K = 1) corner and
     on the generic branch, as the witness prints them."""
 
     # a plain class: a dataclass would generate its methods at import time
-    __slots__ = ("free", "point", "holds", "region", "c2_factor", "generic_factor")
+    __slots__ = ("free", "point", "holds", "c2_factor", "generic_factor")
 
-    def __init__(self, free, point, holds, region, c2_factor, generic_factor):
-        self.free, self.point, self.holds, self.region = free, point, holds, region
+    def __init__(self, free, point, holds, c2_factor, generic_factor):
+        self.free, self.point, self.holds = free, point, holds
         self.c2_factor, self.generic_factor = c2_factor, generic_factor
 
 
@@ -80,56 +80,50 @@ CASE_CONSTRAINTS = {
     CenterCase.I: CaseConstraints(
         ("b1", "a3", "K"), lambda b1, a3, K: (0, b1, a3, 0, K),
         lambda eq, a1, b1, a3, b3, K: eq(a1, 0.0) and eq(b3, 0.0),
-        lambda a1, b1, a3, b3, K: a3 * b1 > 0.0,
         None, None,
     ),
     CenterCase.II: CaseConstraints(
         ("a1", "b3"), lambda a1, b3: (a1, b3 - 1, a1 - 1, b3, a1 / b3),
         lambda eq, a1, b1, a3, b3, K: abs(b3) > CLOSE_TOL and eq(a1, a3 + 1)
         and eq(b3, b1 + 1) and a1 / b3 > 0.0 and eq(K, a1 / b3),
-        lambda a1, b1, a3, b3, K: a1 + b3 < 1.0,
         None, "1+a3-b3*K = 0",
     ),
     CenterCase.III: CaseConstraints(
         ("a1", "b1"), lambda a1, b1: (a1, b1, -1, 1, a1),
         lambda eq, a1, b1, a3, b3, K: eq(a3, -1.0) and eq(b3, 1.0) and a1 > 0.0 and eq(K, a1),
-        lambda a1, b1, a3, b3, K: a1 + b1 < 0.0,
         "a3 = -1", None,
     ),
     CenterCase.IV: CaseConstraints(
         ("a3", "b3"), lambda a3, b3: (1, -1, a3, b3, 1 / b3),
         lambda eq, a1, b1, a3, b3, K: eq(a1, 1.0) and eq(b1, -1.0) and b3 > 0.0 and eq(K, 1 / b3),
-        lambda a1, b1, a3, b3, K: a3 + b3 < 0.0,
         "b1 = -1", "1-b3*K = 0",
     ),
     CenterCase.R1: CaseConstraints(
         ("a1", "b1"), lambda a1, b1: (a1, b1, b1, a1, 1),
         lambda eq, a1, b1, a3, b3, K: eq(a1, b3) and eq(a3, b1) and eq(K, 1.0),
-        lambda a1, b1, a3, b3, K: abs(a1) < abs(b1),
         "a3 = b1", "1-K = 0",
     ),
     CenterCase.R2: CaseConstraints(
         ("b1", "b3"), lambda b1, b3: ((K := 1 / (b3 - b1 - 1)) * b3, b1, K * b1, b3, K),
         lambda eq, a1, b1, a3, b3, K: b3 - b1 - 1 > 0.0 and eq(a1, K * b3)
         and eq(a3, K * b1) and eq(K, 1 / (b3 - b1 - 1)),
-        lambda a1, b1, a3, b3, K: abs(b3) < abs(b1),
         None, "1+a3+K-b3*K = 0",
     ),
 }
 #: the matcher's flat view: one attribute lookup fewer per family and call
-_MATCH_ORDER = tuple((case, fam.holds, fam.region) for case, fam in CASE_CONSTRAINTS.items())
+_MATCH_ORDER = tuple((case, fam.holds) for case, fam in CASE_CONSTRAINTS.items())
 
 
 def match_table_cases(c: CanonicalParams) -> frozenset[CenterCase]:
     """All families of ``CASE_CONSTRAINTS`` whose equalities hold within
-    ``CLOSE_TOL`` (``holds`` with ``close``) and whose strict inequalities
-    hold strictly, each family's tests in table order and stopping at the
-    first that fails.  Families overlap, so the result may contain several
-    members."""
+    ``CLOSE_TOL`` (``holds`` with ``close``) and whose guards hold, each
+    family's tests in table order up to the first that fails.  Families
+    overlap, so the result may list several; ellipticity is ``jacobian``'s,
+    so on a point that is not elliptic it can list some too."""
     a1, b1, a3, b3, K = c.a1, c.b1, c.a3, c.b3, c.K
     out = []
-    for case, holds, region in _MATCH_ORDER:
-        if holds(close, a1, b1, a3, b3, K) and region(a1, b1, a3, b3, K):
+    for case, holds in _MATCH_ORDER:
+        if holds(close, a1, b1, a3, b3, K):
             out.append(case)
     return frozenset(out)
 

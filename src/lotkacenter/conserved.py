@@ -15,7 +15,7 @@ from enum import Enum
 
 from .classifier import CenterCase, match_table_cases
 from .errors import CaseMismatch, NoKnownIntegral
-from .model import CanonicalParams, Point, _positive_xy, vector_field
+from .model import CanonicalParams, Point, _positive_xy, jacobian, vector_field
 
 __all__ = [
     "FirstIntegral",
@@ -132,12 +132,14 @@ _R_CASES = (CenterCase.R1, CenterCase.R2, IntegralCase.R1_CAP_R2)
 def build_integral(case: CenterCase | IntegralCase, c: CanonicalParams) -> FirstIntegral:
     """Construct the conserved quantity for ``c`` in the given family.
 
-    Raises CaseMismatch when ``c`` violates the family constraints and
-    NoKnownIntegral for the reversible families away from their shared
-    subfamily, where no closed form is on record.
+    Raises CaseMismatch when ``c`` violates the family constraints or has
+    det <= 0, and NoKnownIntegral for the reversible families away from
+    their shared subfamily, where no closed form is on record.
     """
     a1, b1, a3, b3, K = c.a1, c.b1, c.a3, c.b3, c.K
     matched = match_table_cases(c)
+    if matched and not jacobian(c).omega:
+        matched = frozenset()
 
     if case in _R_CASES and {CenterCase.R1, CenterCase.R2} <= matched:
         case = IntegralCase.R1_CAP_R2

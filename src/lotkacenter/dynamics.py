@@ -44,7 +44,7 @@ from enum import Enum
 
 from .errors import BadBase, IntegrationFailure, NoReturn, PreconditionViolated
 from .focal import FocalValues, closed_form_focal
-from .model import CanonicalParams, Point, _positive_xy, close, jacobian
+from .model import CanonicalParams, EigenvalueKind, Point, _positive_xy, close, jacobian
 
 __all__ = [
     "BautinResult",
@@ -174,8 +174,7 @@ def _field(c: CanonicalParams, x: float, y: float) -> tuple[float, float] | None
     return None
 
 
-def _char_period(c: CanonicalParams) -> float:
-    det = jacobian(c).determinant
+def _char_period(det: float) -> float:
     rate = max(0.05, math.sqrt(abs(det)))
     return 2.0 * math.pi / rate
 
@@ -216,7 +215,7 @@ def _drive(
     section: _Section | None = None,
     record: bool = False,
 ):
-    """Shared stepping loop; ``t_char`` is ``_char_period(c)``.
+    """Shared stepping loop; ``t_char`` is ``_char_period`` of ``c``'s determinant.
 
     The loop runs the DP54 stages itself, with the field inlined into
     each, so a step makes no Python call.  A stage block that leaves the
@@ -392,7 +391,7 @@ def _drive(
             if h == h_cap and 0.5 * (u * u + v * v) <= 0.2:
                 h_next = h_cap
             else:
-                err = sqrt(0.5 * (u**2 + v**2))
+                err = sqrt(0.5 * (u * u + v * v))
                 if err > 1.0:
                     n_rej += 1
                     fac = 0.9 * err**-0.2
@@ -476,8 +475,9 @@ def integrate(
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if not (hasattr(step_budget, "__index__") and step_budget >= 1):
         raise ValueError(f"step_budget must be an integer of at least 1, got {step_budget!r}")
+    t_char = _char_period(jacobian(c).determinant)
     reason, _, (n_acc, n_rej), (times, pts), _ = _drive(
-        c, x0, y0, t_max, rel_tol, _char_period(c), step_budget=step_budget, record=True
+        c, x0, y0, t_max, rel_tol, t_char, step_budget=step_budget, record=True
     )
     return Trajectory(tuple(times), tuple(pts), n_acc, n_rej, reason)
 
@@ -516,12 +516,26 @@ def poincare_return(
     ``x0`` is the in-section coordinate (x on the section y = 1; y on
     the fallback section x = 1 used when a3 = 0) and must exceed 1.  The
     orbit gets ``_PERIODS_BUDGET`` characteristic periods to return.
+
+    A saddle (``jacobian`` says NOT_ELLIPTIC with no omega, so det < 0)
+    raises NoReturn before any step.  When det != 0, (1, 1) is the only
+    equilibrium in the open quadrant, and a saddle has index -1.  A first
+    return would close a curve out of the orbit arc and the section
+    segment between its ends, which misses (1, 1); the field crosses that
+    segment in one direction only, so the curve has index +1 and would
+    have to enclose equilibria of total index +1.  No orbit can return.
     """
     if not x0 > 1.0:
         raise PreconditionViolated(f"in-section coordinate must exceed 1, got {x0}")
     x0 = float(x0)
     radius = x0 - 1.0
-    t_char = _char_period(c)
+    summary = jacobian(c)
+    if summary.eigenvalue_kind is EigenvalueKind.NOT_ELLIPTIC and not summary.omega:
+        raise NoReturn(
+            f"orbit from in-section coordinate {x0} cannot return: (1, 1) is a saddle "
+            f"(determinant {summary.determinant:.6g})"
+        )
+    t_char = _char_period(summary.determinant)
     section, sx, sy = _section_for(c, radius, t_char)
     reason, hit, _, _, last = _drive(
         c, sx, sy, _PERIODS_BUDGET * t_char, rel_tol, t_char, section=section

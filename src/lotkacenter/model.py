@@ -141,7 +141,7 @@ class EigenvalueKind(Enum):
 
 @dataclass(frozen=True)
 class JacobianSummary:
-    """Linearization data at the equilibrium (1, 1)."""
+    """Linearization data at (1, 1); ``omega`` is sqrt(det) if det > 0, else 0."""
 
     trace: float
     determinant: float

@@ -69,10 +69,10 @@ class TransformedField:
 def r2_transform(c: CanonicalParams) -> TransformedField:
     """Build the reversible form for the second reversible family.
 
-    Requires the family's ``holds`` in ``CASE_CONSTRAINTS``, but not its
-    region |b3| < |b1|: a1 = K*b3, a3 = K*b1 and K = 1/(b3 - b1 - 1) within
-    ``CLOSE_TOL``, with b3 - b1 - 1 > 0.  Raises CaseMismatch otherwise, a
-    non-positive denominator included.
+    Requires the family's ``holds`` in ``CASE_CONSTRAINTS``, not ellipticity:
+    a1 = K*b3, a3 = K*b1 and K = 1/(b3 - b1 - 1) within ``CLOSE_TOL``, with
+    b3 - b1 - 1 > 0.  Raises CaseMismatch otherwise, a non-positive
+    denominator included.
     """
     if not CASE_CONSTRAINTS[CenterCase.R2].holds(close, c.a1, c.b1, c.a3, c.b3, c.K):
         raise CaseMismatch(f"{c} does not satisfy the second reversible family")

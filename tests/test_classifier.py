@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import helpers
 from lotkacenter import (
     CanonicalParams,
+    CaseMismatch,
     CenterCase,
     CenterClassification,
     FocalBranch,
@@ -21,6 +22,7 @@ from lotkacenter import (
     LotkaError,
     PreconditionViolated,
     Verdict,
+    build_integral,
     classify,
     closed_form_focal,
     jacobian,
@@ -114,8 +116,9 @@ def test_match_sets_near_the_families_digest():
 
 def test_family_points_are_exact_over_the_rationals():
     # rational free parameters next to the samplers' draws: through
-    # ``point`` every equality pair is equal in Q and every strict
-    # inequality holds, and the float image of the point matches its family
+    # ``point`` every equality pair is equal in Q, every guard holds and the
+    # determinant is positive, and the float image of the point matches its
+    # family
     for row_index, case in enumerate(ALL_CASES):
         fam = CASE_CONSTRAINTS[case]
         for i, c in enumerate(helpers.center_row_draws(700 + row_index, case, 12)):
@@ -125,9 +128,47 @@ def test_family_points_are_exact_over_the_rationals():
             pairs = []
             # an ``eq`` that records each pair and lets every test run
             assert fam.holds(lambda u, v: pairs.append((u, v)) or True, *p), f"{case} draw {i}"
-            assert fam.region(*p), f"{case} draw {i}"
+            a1, b1, a3, b3, K = p
+            assert K * (a3 * b1 - a1 * b3) > 0, f"{case} draw {i}: {p}"
             assert pairs and all(u == v for u, v in pairs), f"{case} draw {i}: {pairs}"
             assert case in match_table_cases(CanonicalParams(*p)), f"{case} draw {i}"
+
+
+def test_each_family_closes_with_a_positive_determinant():
+    # det = K(a3*b1 - a1*b3) through each family's ``point``, in its free
+    # parameters: under the guards of ``holds`` each product is positive
+    # exactly on the strict inequality noted beside it, so the families
+    # need no ellipticity test beside ``jacobian``'s
+    import sympy
+
+    names = ("a1", "b1", "a3", "b3", "K")
+    a1, b1, a3, b3, K = sym = sympy.symbols(names)
+    expected = {
+        CenterCase.I: K * a3 * b1,  # K > 0: a3*b1 > 0
+        CenterCase.II: -a1 * (a1 + b3 - 1) / b3,  # a1/b3 > 0: a1 + b3 < 1
+        CenterCase.III: -a1 * (a1 + b1),  # a1 > 0: a1 + b1 < 0
+        CenterCase.IV: -(a3 + b3) / b3,  # b3 > 0: a3 + b3 < 0
+        CenterCase.R1: b1**2 - a1**2,  # |a1| < |b1|
+        CenterCase.R2: (b1**2 - b3**2) / (b1 - b3 + 1) ** 2,  # |b3| < |b1|
+    }
+    for case, fam in CASE_CONSTRAINTS.items():
+        pa1, pb1, pa3, pb3, pK = fam.point(*(sym[names.index(n)] for n in fam.free))
+        assert sympy.cancel(pK * (pa3 * pb1 - pa1 * pb3) - expected[case]) == 0, case
+
+
+def test_matcher_leaves_ellipticity_to_jacobian(capsys):
+    # a saddle (det = -1) on family I's equalities: the matcher lists the
+    # family, and the callers that need ellipticity refuse it
+    c = CanonicalParams(0.0, 1.0, -1.0, 0.0, 1.0)
+    assert match_table_cases(c) == {CenterCase.I}
+    assert classify(c) == CenterClassification(Verdict.NOT_ELLIPTIC, frozenset(), None)
+    message = f"{c} does not satisfy the case I constraints"
+    with pytest.raises(CaseMismatch) as err:
+        build_integral(CenterCase.I, c)
+    assert str(err.value) == message
+    argv = ["verify-integral", "--case", "i", "--a1", "0", "--b1", "1", "--a3", "-1", "--b3", "0", "--K", "1"]
+    assert main(argv) == 65
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_classify_center_examples():

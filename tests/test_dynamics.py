@@ -106,6 +106,45 @@ def test_no_return_on_small_budget(monkeypatch):
     assert "TimeLimit" in str(err.value)
 
 
+def test_return_map_linearizes_once_and_refuses_a_saddle_before_any_step(monkeypatch):
+    calls = []
+
+    def counted(arg):
+        calls.append(arg)
+        return jacobian(arg)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a saddle's return map stepped")
+
+    monkeypatch.setattr(dynamics, "jacobian", counted)
+    poincare_return(WEAK_FOCUS, 1.2, 1e-6)
+    assert calls == [WEAK_FOCUS]
+    # det < 0: (1, 1) has index -1, so no orbit returns; the map's one
+    # jacobian call decides it, and the scan records NaN
+    monkeypatch.setattr(dynamics, "_drive", no_step)
+    saddle = CanonicalParams(2.0, 1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(NoReturn, match=r"cannot return: \(1, 1\) is a saddle \(determinant -1\)"):
+        poincare_return(saddle, 1.2)
+    assert calls == [WEAK_FOCUS, saddle]
+    report = detect_limit_cycles(saddle, 0.1, 0.5, 3)
+    assert report.cycles == () and all(math.isnan(d) for d in report.scan_displacements)
+
+
+#: elliptic and trace-free; a step's error norm overflows at |u| ~ 1e154
+_OVERFLOWING_NORM = CanonicalParams(
+    47.582143249860835, -58.44143025743802, -45.76684529094912, 32.09693224523002, 1.4824514344959585
+)
+
+
+def test_an_overflowing_error_norm_rejects_the_step():
+    # u*u gives inf where u**2 raises OverflowError: the infinite norm
+    # rejects the step until the step budget ends the map
+    with pytest.raises(NoReturn, match="StepBudget"):
+        poincare_return(_OVERFLOWING_NORM, 1.3345921063318036, 1e-6)
+    report = detect_limit_cycles(_OVERFLOWING_NORM, 0.3345921063318036, 0.5, 2)
+    assert report.cycles == () and math.isnan(report.scan_displacements[0])
+
+
 def test_saddle_orbit_escapes():
     tr = integrate(CanonicalParams(2.0, 1.0, 1.0, 1.0, 1.0), (1.5, 1.5), t_max=50.0)
     assert tr.termination is TerminationReason.QUADRANT_ESCAPE
@@ -603,7 +642,7 @@ def test_trajectory_cold_path_golden(name):
 def test_x_section_return_golden_bits():
     # the fallback section x = 1 (axis 0), which poincare_return opens only
     # when a3 = 0; captured before the stepper's stages moved into its loop
-    t_char = dynamics._char_period(WEAK_FOCUS)
+    t_char = dynamics._char_period(jacobian(WEAK_FOCUS).determinant)
     section = dynamics._Section(axis=0, direction=1.0, t_min=1e-8 * t_char)
     reason, hit, counts, _, _ = dynamics._drive(
         WEAK_FOCUS, 1.0, 1.2, dynamics._PERIODS_BUDGET * t_char, 1e-9, t_char, section=section
