@@ -12,7 +12,8 @@ are deliberate rather than generic:
   rotation period, which ties conserved-quantity drift to roughly
   relTol**2.5 and keeps tolerance halving an honest accuracy knob.
 
-Section crossings are located on the cubic Hermite interpolant of the
+A return map cuts the orbit on one section, the line y = 1.  Its
+crossings are located on the cubic Hermite interpolant of the
 bracketing step and then polished by Newton iterations that re-run the
 loop's stage block on a substep, so the reported crossing lies on the
 numerical orbit itself.
@@ -44,7 +45,7 @@ from enum import Enum
 
 from .errors import BadBase, IntegrationFailure, NoReturn, PreconditionViolated
 from .focal import FocalValues, closed_form_focal
-from .model import CanonicalParams, EigenvalueKind, Point, _positive_xy, close, jacobian
+from .model import CanonicalParams, EigenvalueKind, Point, _positive_xy, jacobian
 
 __all__ = [
     "BautinResult",
@@ -104,6 +105,7 @@ class TerminationReason(Enum):
     SECTION_RETURN = "SectionReturn"
     QUADRANT_ESCAPE = "QuadrantEscape"
     STEP_BUDGET = "StepBudget"
+    STEP_SIZE_FLOOR = "StepSizeFloor"
 
 
 class CycleStability(Enum):
@@ -188,21 +190,6 @@ class _OffQuadrant(Exception):
     step's end is not finite."""
 
 
-@dataclass(frozen=True)
-class _Section:
-    axis: int  # 0 for x = 1, 1 for y = 1
-    direction: float
-    t_min: float
-
-
-@dataclass
-class _SectionHit:
-    t: float
-    x: float
-    y: float
-    crossings: int
-
-
 def _drive(
     c: CanonicalParams,
     x0: float,
@@ -212,7 +199,7 @@ def _drive(
     t_char: float,
     *,
     step_budget: int = STEP_BUDGET_DEFAULT,
-    section: _Section | None = None,
+    section: tuple[float, float] | None = None,
     record: bool = False,
 ):
     """Shared stepping loop; ``t_char`` is ``_char_period`` of ``c``'s determinant.
@@ -227,8 +214,14 @@ def _drive(
     the test before any power runs.  Only k7, which leaves the step, is
     tested for finiteness itself.
 
-    A step that crosses the section puts the loop into its polish state:
-    ``_locate_crossing`` finds the crossing on the step's Hermite
+    A step size under ``h_min`` ends the run: as TIME_LIMIT at the
+    horizon, as QUADRANT_ESCAPE near the escape box and as
+    STEP_SIZE_FLOOR elsewhere.
+
+    ``section`` is (direction, t_min) for the section y = 1: a crossing
+    after ``t_min`` where dy/dt has the sign of ``direction`` is the
+    return.  A step that crosses y = 1 puts the loop into its polish
+    state: ``_locate_crossing`` finds the crossing on the step's Hermite
     interpolant, and up to six Newton iterations re-run the same stage
     block from the step's start with the substep ``dt``, so the reported
     crossing lies on the numerical orbit.  A failed substep ends the
@@ -237,8 +230,9 @@ def _drive(
     The start, the horizon and the tolerance are taken as built-in
     floats, as the parameters are, so no numpy scalar reaches the
     stepper.  Returns (reason, hit, (accepted, rejected), (times,
-    points), last (t, x, y)); ``hit`` is None unless the section was
-    reached, and the samples are empty unless ``record``.
+    points), last (t, x, y)); ``hit`` is the return's (t, x, crossings)
+    and None unless the section was reached, and the samples are empty
+    unless ``record``.
     """
     if not 1e-13 <= rel_tol <= 1e-3:
         raise ValueError(f"rel_tol must lie in [1e-13, 1e-3], got {rel_tol}")
@@ -270,15 +264,15 @@ def _drive(
     crossings = 0
     times = [t] if record else []
     pts = [(x, y)] if record else []
-    hit: _SectionHit | None = None
+    hit = None
     reason = TerminationReason.TIME_LIMIT
     # Newton iterations left in the polish of a section crossing: while
     # positive, the stage block runs the substep dt from the state (x, y)
     # instead of a step; -1 ends the polish in the pass that sets it
     polish = 0
     if section is not None:
-        axis, direction, t_min = section.axis, section.direction, section.t_min
-        g0 = (y if axis else x) - 1.0
+        direction, t_min = section
+        g0 = y - 1.0
 
     # the per-step path spells max/min as comparisons that pick the same
     # floats; x, x1, y and y1 are positive, so the scales need no abs
@@ -301,7 +295,7 @@ def _drive(
                 elif x < 10.0 * low or y < 10.0 * low or x > 0.1 * high or y > 0.1 * high:
                     reason = TerminationReason.QUADRANT_ESCAPE
                 else:
-                    reason = TerminationReason.STEP_BUDGET
+                    reason = TerminationReason.STEP_SIZE_FLOOR
                 break
             hs = h
 
@@ -358,8 +352,8 @@ def _drive(
 
         if polish:
             if polish > 0:
-                xr, yr, fr = x1, y1, (fy1 if axis else fx1)
-                g = (yr if axis else xr) - 1.0
+                xr, fr = x1, fy1
+                g = y1 - 1.0
                 if abs(g) <= 1e-14 or fr == 0.0:
                     polish = -1
                 else:
@@ -372,10 +366,7 @@ def _drive(
             if hit_t > t_min:
                 crossings += 1
                 if math.copysign(1.0, fr) == direction:
-                    hit = _SectionHit(t=hit_t, x=xr, y=yr, crossings=crossings)
-                    if record:
-                        times.append(hit_t)
-                        pts.append((xr, yr))
+                    hit = hit_t, xr, crossings
                     reason = TerminationReason.SECTION_RETURN
                     break
             x1, y1, fx1, fy1 = step_end
@@ -405,16 +396,13 @@ def _drive(
                     h_next = h_cap
 
             if section is not None:
-                g1 = (y1 if axis else x1) - 1.0
+                g1 = y1 - 1.0
                 crossed = (g0 > 0.0 > g1) or (g0 < 0.0 < g1) or (g1 == 0.0 and g0 != 0.0)
                 g0 = g1
                 if crossed and t + h > t_min:
                     step_end = x1, y1, fx1, fy1
-                    if axis:
-                        dt = _locate_crossing(y, fy, y1, fy1, h)
-                    else:
-                        dt = _locate_crossing(x, fx, x1, fx1, h)
-                    xr, yr, fr = x1, y1, (fy1 if axis else fx1)
+                    dt = _locate_crossing(y, fy, y1, fy1, h)
+                    xr, fr = x1, fy1
                     polish = 6
                     continue
 
@@ -482,40 +470,19 @@ def integrate(
     return Trajectory(tuple(times), tuple(pts), n_acc, n_rej, reason)
 
 
-def _section_for(
-    c: CanonicalParams, radius: float, t_char: float
-) -> tuple[_Section, float, float]:
-    """Choose the transversal section and start point for a radius > 0."""
-    if close(c.a3, 0.0):
-        x0, y0 = 1.0, 1.0 + radius
-        axis = 0
-    else:
-        x0, y0 = 1.0 + radius, 1.0
-        axis = 1
-    f = _field(c, x0, y0)
-    if f is None:
-        raise PreconditionViolated(f"field not evaluable at ({x0}, {y0})")
-    g_rate = f[axis]
-    if g_rate == 0.0:
-        raise PreconditionViolated(
-            "section is not transversal at the start point; "
-            f"derivative of the section coordinate vanishes at ({x0}, {y0})"
-        )
-    direction = math.copysign(1.0, g_rate)
-    t_min = 1e-8 * t_char
-    return _Section(axis=axis, direction=direction, t_min=t_min), x0, y0
-
-
 def poincare_return(
     c: CanonicalParams,
     x0: float,
     rel_tol: float = 1e-9,
 ) -> ReturnRecord:
-    """First return to the section through (1, 1) on the start side.
+    """First return to the section y = 1 on the start side of (1, 1).
 
-    ``x0`` is the in-section coordinate (x on the section y = 1; y on
-    the fallback section x = 1 used when a3 = 0) and must exceed 1.  The
-    orbit gets ``_PERIODS_BUDGET`` characteristic periods to return.
+    ``x0`` is the start's x on the section and must exceed 1.  The orbit
+    gets ``_PERIODS_BUDGET`` characteristic periods to return.  A start
+    where the field is not evaluable, or where dy/dt = 0 so the section
+    is not transversal, raises PreconditionViolated.  At a3 = 0 the line
+    y = 1 is invariant, since dy/dt = K(1 - y**b3) vanishes on it: no
+    orbit crosses it, so the map refuses every start there.
 
     A saddle (``jacobian`` says NOT_ELLIPTIC with no omega, so det < 0)
     raises NoReturn before any step.  When det != 0, (1, 1) is the only
@@ -528,30 +495,37 @@ def poincare_return(
     if not x0 > 1.0:
         raise PreconditionViolated(f"in-section coordinate must exceed 1, got {x0}")
     x0 = float(x0)
-    radius = x0 - 1.0
     summary = jacobian(c)
     if summary.eigenvalue_kind is EigenvalueKind.NOT_ELLIPTIC and not summary.omega:
         raise NoReturn(
             f"orbit from in-section coordinate {x0} cannot return: (1, 1) is a saddle "
             f"(determinant {summary.determinant:.6g})"
         )
+    f = _field(c, x0, 1.0)
+    if f is None:
+        raise PreconditionViolated(f"field not evaluable at ({x0}, 1.0)")
+    if f[1] == 0.0:
+        raise PreconditionViolated(
+            "section is not transversal at the start point; "
+            f"derivative of the section coordinate vanishes at ({x0}, 1.0)"
+        )
     t_char = _char_period(summary.determinant)
-    section, sx, sy = _section_for(c, radius, t_char)
+    section = math.copysign(1.0, f[1]), 1e-8 * t_char
     reason, hit, _, _, last = _drive(
-        c, sx, sy, _PERIODS_BUDGET * t_char, rel_tol, t_char, section=section
+        c, x0, 1.0, _PERIODS_BUDGET * t_char, rel_tol, t_char, section=section
     )
     if hit is None:
         raise NoReturn(
             f"orbit from in-section coordinate {x0} did not return "
             f"({reason.value}; last state t={last[0]:.6g}, x={last[1]:.6g}, y={last[2]:.6g})"
         )
-    ret_coord = (hit.x, hit.y)[1 - section.axis]
+    return_time, return_x, crossings = hit
     return ReturnRecord(
         start_x=x0,
-        return_x=ret_coord,
-        displacement=ret_coord - x0,
-        return_time=hit.t,
-        crossings=hit.crossings,
+        return_x=return_x,
+        displacement=return_x - x0,
+        return_time=return_time,
+        crossings=crossings,
     )
 
 

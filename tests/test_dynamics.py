@@ -9,6 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from lotkacenter import (
@@ -18,10 +20,16 @@ from lotkacenter import (
     CenterCase,
     CycleStability,
     DomainError,
+    LimitCycleReport,
+    LotkaError,
     NoReturn,
+    PreconditionViolated,
+    ReturnRecord,
     TerminationReason,
+    Verdict,
     bautin_scenario,
     build_integral,
+    classify,
     closed_form_focal,
     detect_limit_cycles,
     evaluate,
@@ -138,11 +146,37 @@ _OVERFLOWING_NORM = CanonicalParams(
 
 def test_an_overflowing_error_norm_rejects_the_step():
     # u*u gives inf where u**2 raises OverflowError: the infinite norm
-    # rejects the step until the step budget ends the map
-    with pytest.raises(NoReturn, match="StepBudget"):
+    # rejects the step until the step size falls under its floor
+    with pytest.raises(NoReturn, match="StepSizeFloor"):
         poincare_return(_OVERFLOWING_NORM, 1.3345921063318036, 1e-6)
     report = detect_limit_cycles(_OVERFLOWING_NORM, 0.3345921063318036, 0.5, 2)
     assert report.cycles == () and math.isnan(report.scan_displacements[0])
+
+
+def test_a3_zero_makes_the_section_invariant_and_the_map_refuses_it(monkeypatch):
+    # at a3 = 0, dy/dt = K(1 - y**b3) vanishes on y = 1, so no orbit
+    # crosses the section: the map refuses the start before any step
+    def no_step(*args, **kwargs):
+        raise AssertionError("a map on an invariant section stepped")
+
+    monkeypatch.setattr(dynamics, "_drive", no_step)
+    node = CanonicalParams(1.0, -1.0, 0.0, -1.0, 1.0)
+    with pytest.raises(PreconditionViolated, match=r"not transversal.* at \(1\.05, 1\.0\)"):
+        poincare_return(node, 1.05)
+    report = detect_limit_cycles(node, 0.1, 0.5, 3)
+    assert report.cycles == () and all(math.isnan(d) for d in report.scan_displacements)
+
+
+def test_a_center_with_a_tiny_a3_returns(capsys):
+    # a rotating system with |a3| <= 1e-9 needs a huge b1; the displacement
+    # is round-off of y**1e10, so only its finiteness is pinned
+    c = CanonicalParams(0.0, 1e10, 1e-10, 0.0, 1.0)
+    assert classify(c).verdict is Verdict.CENTER
+    rec = poincare_return(c, 1.05)
+    assert math.isfinite(rec.displacement) and rec.crossings == 2
+    flags = ["--a1", "0", "--b1", "1e10", "--a3", "1e-10", "--b3", "0", "--K", "1"]
+    assert main(["poincare", *flags, "--x0", "1.05"]) == 0
+    assert "crossings = 2" in capsys.readouterr().out
 
 
 def test_saddle_orbit_escapes():
@@ -639,24 +673,6 @@ def test_trajectory_cold_path_golden(name):
     assert got == golden
 
 
-def test_x_section_return_golden_bits():
-    # the fallback section x = 1 (axis 0), which poincare_return opens only
-    # when a3 = 0; captured before the stepper's stages moved into its loop
-    t_char = dynamics._char_period(jacobian(WEAK_FOCUS).determinant)
-    section = dynamics._Section(axis=0, direction=1.0, t_min=1e-8 * t_char)
-    reason, hit, counts, _, _ = dynamics._drive(
-        WEAK_FOCUS, 1.0, 1.2, dynamics._PERIODS_BUDGET * t_char, 1e-9, t_char, section=section
-    )
-    assert reason is TerminationReason.SECTION_RETURN
-    assert (hit.t.hex(), hit.x.hex(), hit.y.hex(), hit.crossings) == (
-        "0x1.9bc3e2af2892ep+2",
-        "0x1.0000000000000p+0",
-        "0x1.332c647d2517cp+0",
-        2,
-    )
-    assert counts == (323, 0)
-
-
 def test_step_rejects_stage_overflow_without_raising():
     # from this start, stage 2's x-field is inf as the product of two
     # finite powers (about 1e195 * 1e200); the next stage's state turns
@@ -709,3 +725,31 @@ def test_integrate_rejects_non_integer_step_budget(step_budget):
 def test_scan_needs_finite_ordered_radii(r_min, r_max):
     with pytest.raises(ValueError, match="r_min"):
         detect_limit_cycles(WEAK_FOCUS, r_min, r_max, 5)
+
+
+#: the ranges of the seeded dynamics fuzz (tests/fuzz_dynamics.py); a3 = 0
+#: and |a3| <= 1e-9 are branches of their own beside the wide range
+_EXPONENT = st.floats(-100.0, 100.0)
+_A3 = st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9), _EXPONENT)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    _EXPONENT,
+    _EXPONENT,
+    _A3,
+    _EXPONENT,
+    st.floats(-4.0, 4.0).map(math.exp),
+    st.floats(-6.0, 1.0).map(lambda e: 10.0**e),
+    st.sampled_from([1e-6, 1e-8, 1e-9]),
+)
+def test_return_map_and_scan_are_total(a1, b1, a3, b3, K, radius, rel_tol):
+    c = CanonicalParams(a1, b1, a3, b3, K)
+    try:
+        assert isinstance(poincare_return(c, 1.0 + radius, rel_tol), ReturnRecord)
+    except LotkaError:
+        pass
+    try:
+        assert isinstance(detect_limit_cycles(c, radius, 2.0 * radius, 2), LimitCycleReport)
+    except LotkaError:
+        pass
