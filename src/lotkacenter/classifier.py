@@ -10,8 +10,9 @@ R2 transform and the CLI witness read; the det > 0 that closes each is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InternalInconsistency
 from .focal import L2_ZERO_TOL, FocalValues, closed_form_focal
@@ -45,8 +46,7 @@ class Verdict(Enum):
     DEGENERATE_DET_ZERO = "DegenerateDetZero"
 
 
-@dataclass(frozen=True)
-class CenterClassification:
+class CenterClassification(NamedTuple):
     """``cases`` holds the matched families of a Center and is empty for
     every other verdict; ``focal`` is None unless (1, 1) is elliptic."""
 
@@ -55,7 +55,7 @@ class CenterClassification:
     focal: FocalValues | None
 
 
-class CaseConstraints:
+class CaseConstraints(NamedTuple):
     """One center family: ``point`` maps the ``free`` parameters to (a1,
     b1, a3, b3, K); ``holds(eq, a1, b1, a3, b3, K)`` hands ``eq`` each
     equality as the (lhs, rhs) pair that ``close`` compares, among the
@@ -66,12 +66,11 @@ class CaseConstraints:
     factor that the family makes vanish on the (b3 = 1, K = 1) corner and
     on the generic branch, as the witness prints them."""
 
-    # a plain class: a dataclass would generate its methods at import time
-    __slots__ = ("free", "point", "holds", "c2_factor", "generic_factor")
-
-    def __init__(self, free, point, holds, c2_factor, generic_factor):
-        self.free, self.point, self.holds = free, point, holds
-        self.c2_factor, self.generic_factor = c2_factor, generic_factor
+    free: tuple[str, ...]
+    point: Callable[..., tuple]
+    holds: Callable[..., bool]
+    c2_factor: str | None
+    generic_factor: str | None
 
 
 #: the six families in ``CenterCase`` order: the matcher tests them and the

@@ -15,7 +15,6 @@ import math
 import random
 import re
 import sys
-from dataclasses import fields
 from enum import Enum
 
 from .classifier import CASE_CONSTRAINTS, CenterCase, CenterClassification, Verdict, classify
@@ -357,7 +356,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_poincare(args: argparse.Namespace) -> int:
     c = _params(args)
     rec = poincare_return(c, args.x0, args.rel_tol)
-    print(_render(((f.name, getattr(rec, f.name)) for f in fields(rec)), " = "))
+    print(_render(rec._asdict().items(), " = "))
     return 0
 
 

@@ -10,8 +10,8 @@ the parameters modulo an additive constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .classifier import CenterCase, match_table_cases
 from .errors import CaseMismatch, NoKnownIntegral
@@ -43,16 +43,14 @@ class TermKind(Enum):
     SUM_POWER = "(x + y)**e"
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     coeff: float
     kind: TermKind
     x_exp: float = 0.0
     y_exp: float = 0.0
 
 
-@dataclass(frozen=True)
-class IntegratingFactor:
+class IntegratingFactor(NamedTuple):
     """Either x**a * y**b or (x + y)**e (with a carrying e, b unused)."""
 
     kind: TermKind
@@ -67,8 +65,7 @@ class IntegralCase(Enum):
     R1_CAP_R2 = "R1capR2"
 
 
-@dataclass(frozen=True)
-class FirstIntegral:
+class FirstIntegral(NamedTuple):
     case: CenterCase | IntegralCase
     terms: tuple[Term, ...]
     factor: IntegratingFactor

@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import BadBase, IntegrationFailure, NoReturn, PreconditionViolated
 from .focal import FocalValues, closed_form_focal
@@ -113,8 +113,7 @@ class CycleStability(Enum):
     UNSTABLE = "Unstable"
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     times: tuple[float, ...]
     points: tuple[tuple[float, float], ...]  # (x, y) at each time
     n_accepted: int
@@ -122,8 +121,7 @@ class Trajectory:
     termination: TerminationReason
 
 
-@dataclass(frozen=True)
-class ReturnRecord:
+class ReturnRecord(NamedTuple):
     """One full turn of the return map on the section through (1, 1)."""
 
     start_x: float
@@ -133,22 +131,19 @@ class ReturnRecord:
     crossings: int
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(NamedTuple):
     radius: float
     displacement: float
     stability: CycleStability
 
 
-@dataclass(frozen=True)
-class LimitCycleReport:
+class LimitCycleReport(NamedTuple):
     cycles: tuple[CycleRecord, ...]
     scan_radii: tuple[float, ...]
     scan_displacements: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class BautinResult:
+class BautinResult(NamedTuple):
     """Staged evidence for the coexisting-cycles construction."""
 
     base_params: CanonicalParams

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InsufficientDegree, InternalInconsistency, PreconditionViolated
 from .model import CLOSE_TOL, CanonicalParams, EigenvalueKind, JacobianSummary, close, jacobian
@@ -47,8 +47,7 @@ class FocalBranch(Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
-@dataclass(frozen=True)
-class FocalValues:
+class FocalValues(NamedTuple):
     """Closed-form focal values at the equilibrium.
 
     ``L2`` is None when L1 does not vanish, in which case it carries no
@@ -153,8 +152,7 @@ def closed_form_focal(
 # Taylor expansion of the shifted field
 
 
-@dataclass(frozen=True)
-class TaylorField:
+class TaylorField(NamedTuple):
     """Polynomial truncation of the field around (1, 1).
 
     With u = x - 1 and v = y - 1, the coefficient of u**i v**j is
@@ -203,8 +201,7 @@ def taylor_expand(c: CanonicalParams, degree: int) -> TaylorField:
 # terms or unread coefficients does not change them.
 
 
-@dataclass(frozen=True)
-class LyapunovQuantities:
+class LyapunovQuantities(NamedTuple):
     """Obstruction coefficients of a formal Lyapunov function.
 
     ``ell[k-1]`` is the k-th quantity, reported per unit angular

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -139,8 +140,7 @@ class EigenvalueKind(Enum):
     NOT_ELLIPTIC = "NotElliptic"
 
 
-@dataclass(frozen=True)
-class JacobianSummary:
+class JacobianSummary(NamedTuple):
     """Linearization data at (1, 1); ``omega`` is sqrt(det) if det > 0, else 0."""
 
     trace: float

@@ -10,8 +10,8 @@ rescaling, which is what ``r2_transform`` encodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .classifier import CASE_CONSTRAINTS, CenterCase
 from .errors import CaseMismatch
@@ -46,8 +46,7 @@ def r1_residual(
     return _swap_residual(partial(vector_field, c), pts)
 
 
-@dataclass(frozen=True)
-class TransformedField:
+class TransformedField(NamedTuple):
     """Exponent data of the rescaled field in u = x**K, v = 1/y.
 
     du/dtau = u**e_u1 - u**e_u2 * v**b1

@@ -1,6 +1,5 @@
 """Integration, return maps, and limit-cycle detection."""
 
-import dataclasses
 import hashlib
 import math
 import random
@@ -305,7 +304,7 @@ def test_linspace_matches_numpy_bit_for_bit():
 def test_poincare_return_of_numpy_scalars_is_built_in_floats():
     c = CanonicalParams(*map(np.float64, (1.0, 2.0, 1.0, 1.0, 1.0)))
     rec = poincare_return(c, np.float64(1.2), np.float64(1e-8))
-    assert [type(v) for v in dataclasses.astuple(rec)] == [float, float, float, float, int]
+    assert [type(v) for v in tuple(rec)] == [float, float, float, float, int]
     assert rec == poincare_return(WEAK_FOCUS, 1.2, 1e-8)
 
 

@@ -1,7 +1,11 @@
-"""Every name a module lists in ``__all__`` exists there, once."""
+"""Every name a module lists in ``__all__`` exists there, once, and every
+exported record class is a NamedTuple result or a validated input."""
 
+import dataclasses
 import importlib
+import math
 import pkgutil
+from enum import Enum
 
 import pytest
 
@@ -25,3 +29,40 @@ def test_all_entries_resolve_once(module):
     assert not missing, f"{module.__name__}.__all__ names what it does not define: {missing}"
     repeated = sorted({name for name in module.__all__ if module.__all__.count(name) > 1})
     assert not repeated, f"{module.__name__}.__all__ repeats {repeated}"
+
+
+def test_results_are_named_tuples_and_inputs_frozen_dataclasses():
+    inputs = {"CanonicalParams", "RawLotkaParams", "Point"}
+    classes = {
+        name: getattr(module, name)
+        for module in EXPORTING
+        for name in module.__all__
+        if isinstance(getattr(module, name), type)
+        and not issubclass(getattr(module, name), (Enum, BaseException))
+    }
+    records = {name: cls for name, cls in classes.items() if name not in inputs}
+    assert inputs <= classes.keys()
+    assert {"CenterClassification", "JacobianSummary", "Term", "CaseConstraints"} <= records.keys()
+    for name, cls in records.items():
+        assert issubclass(cls, tuple) and cls._fields, name
+        assert not dataclasses.is_dataclass(cls), name
+        rec = cls(*[None] * len(cls._fields))
+        with pytest.raises(AttributeError):
+            setattr(rec, cls._fields[0], None)
+
+    for name in inputs:
+        assert dataclasses.is_dataclass(classes[name]) and classes[name].__dataclass_params__.frozen
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            lotkacenter.CanonicalParams(1.0, bad, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            lotkacenter.RawLotkaParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, bad, 1.0, 1.0, 1.0)
+        with pytest.raises((ValueError, lotkacenter.DomainError)):
+            lotkacenter.Point(bad, 1.0)
+    for K in (0.0, -1.0):
+        with pytest.raises(ValueError, match="K must be positive"):
+            lotkacenter.CanonicalParams(1.0, 1.0, 1.0, 1.0, K)
+        with pytest.raises(ValueError, match="rate k1 must be positive"):
+            lotkacenter.RawLotkaParams(K, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(lotkacenter.DomainError):
+            lotkacenter.Point(K, 1.0)
