@@ -218,12 +218,16 @@ def invariance_residual(
 
     Each point is scaled by the magnitude of the two directional terms
     before cancellation, so the result is comparable to 1e-10 regardless
-    of how large the monomials grow.
+    of how large the monomials grow.  A point whose residual is NaN makes
+    the result NaN.
     """
     worst = 0.0
     for pt in pts:
         gx, gy = gradient(fi, pt)
         fx, fy = vector_field(c, pt)
         scale = max(1.0, abs(gx * fx) + abs(gy * fy))
-        worst = max(worst, abs(gx * fx + gy * fy) / scale)
+        r = abs(gx * fx + gy * fy) / scale
+        if math.isnan(r):
+            return r
+        worst = max(worst, r)
     return worst

@@ -43,9 +43,9 @@ import sys
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import BadBase, IntegrationFailure, NoReturn, PreconditionViolated
+from .errors import BadBase, DomainError, IntegrationFailure, NoReturn, PreconditionViolated
 from .focal import FocalValues, closed_form_focal
-from .model import CanonicalParams, EigenvalueKind, Point, _positive_xy, jacobian
+from .model import CanonicalParams, EigenvalueKind, Point, _positive_xy, jacobian, vector_field
 
 __all__ = [
     "BautinResult",
@@ -156,21 +156,6 @@ class BautinResult(NamedTuple):
     stage2_report: LimitCycleReport
 
 
-def _field(c: CanonicalParams, x: float, y: float) -> tuple[float, float] | None:
-    """The field at (x, y), or None outside the open quadrant or when it
-    overflows or is not finite."""
-    if not (0.0 < x < math.inf and 0.0 < y < math.inf):
-        return None
-    try:
-        fx = x**c.a1 * y**c.b1 - 1.0
-        fy = c.K * (1.0 - x**c.a3 * y**c.b3)
-    except OverflowError:
-        return None
-    if math.isfinite(fx) and math.isfinite(fy):
-        return fx, fy
-    return None
-
-
 def _char_period(det: float) -> float:
     rate = max(0.05, math.sqrt(abs(det)))
     return 2.0 * math.pi / rate
@@ -248,10 +233,10 @@ def _drive(
     h_cap = _step_cap(t_char, rel_tol)
     h_min = 1e-14 * t_char
 
-    f = _field(c, x0, y0)
-    if f is None:
-        raise IntegrationFailure(f"field not evaluable at start ({x0}, {y0})")
-    fx, fy = f
+    try:
+        fx, fy = vector_field(c, (x0, y0))
+    except DomainError:
+        raise IntegrationFailure(f"field not evaluable at start ({x0}, {y0})") from None
     t, x, y = 0.0, x0, y0
     h = min(h_cap, 0.01 * t_char, t_max if t_max > 0 else h_cap)
     n_acc = 0
@@ -411,9 +396,6 @@ def _drive(
             break
         h = h_next
 
-    else:
-        reason = TerminationReason.TIME_LIMIT
-
     return reason, hit, (n_acc, n_rej), (times, pts), (t, x, y)
 
 
@@ -496,16 +478,17 @@ def poincare_return(
             f"orbit from in-section coordinate {x0} cannot return: (1, 1) is a saddle "
             f"(determinant {summary.determinant:.6g})"
         )
-    f = _field(c, x0, 1.0)
-    if f is None:
-        raise PreconditionViolated(f"field not evaluable at ({x0}, 1.0)")
-    if f[1] == 0.0:
+    try:
+        _, fy = vector_field(c, (x0, 1.0))
+    except DomainError:
+        raise PreconditionViolated(f"field not evaluable at ({x0}, 1.0)") from None
+    if fy == 0.0:
         raise PreconditionViolated(
             "section is not transversal at the start point; "
             f"derivative of the section coordinate vanishes at ({x0}, 1.0)"
         )
     t_char = _char_period(summary.determinant)
-    section = math.copysign(1.0, f[1]), 1e-8 * t_char
+    section = math.copysign(1.0, fy), 1e-8 * t_char
     reason, hit, _, _, last = _drive(
         c, x0, 1.0, _PERIODS_BUDGET * t_char, rel_tol, t_char, section=section
     )
@@ -617,17 +600,8 @@ def _brackets(c: CanonicalParams, radii: list[float], disp: list[float]):
     A scan value beyond the floor has the sign of the refinement map, so
     each bracket is bisected on the scan map while the midpoint stays
     beyond the floor, and only an end whose scan value is under the floor
-    is mapped at ``_REFINE_REL_TOL``; each radius is mapped at most once
-    at each tolerance.
+    is mapped at ``_REFINE_REL_TOL``.
     """
-    known: dict[float, float] = {}
-
-    def at(r: float) -> float:
-        d = known.get(r)
-        if d is None:
-            d = known[r] = section_displacement(c, r, _REFINE_REL_TOL)
-        return d
-
     for i in range(len(radii) - 1):
         d0, d1 = disp[i], disp[i + 1]
         if not (math.isfinite(d0) and math.isfinite(d1)):
@@ -649,9 +623,9 @@ def _brackets(c: CanonicalParams, radii: list[float], disp: list[float]):
             else:
                 hi, f_hi = mid, d
         if abs(f_lo) <= _NOISE_FLOOR:
-            f_lo = at(lo)
+            f_lo = section_displacement(c, lo, _REFINE_REL_TOL)
         if abs(f_hi) <= _NOISE_FLOOR:
-            f_hi = at(hi)
+            f_hi = section_displacement(c, hi, _REFINE_REL_TOL)
         if f_lo == 0.0 or (f_lo > 0.0) == (f_hi > 0.0):
             continue
         yield lo, hi, f_lo, f_hi
@@ -703,14 +677,6 @@ def detect_limit_cycles(
         cycles=tuple(cycles),
         scan_radii=tuple(radii),
         scan_displacements=tuple(disp),
-    )
-
-
-def _two_cycle_shape(report: LimitCycleReport) -> bool:
-    """Two cycles, the inner unstable and the outer stable."""
-    return tuple(cyc.stability for cyc in report.cycles) == (
-        CycleStability.UNSTABLE,
-        CycleStability.STABLE,
     )
 
 
@@ -767,7 +733,8 @@ def bautin_scenario(b1: float, a3: float, delta_k: float) -> BautinResult:
     for _ in range(6):
         stage2 = CanonicalParams(a1=k1 - eps, b1=b1, a3=a3, b3=1.0, K=k1)
         stage2_report = detect_limit_cycles(stage2, *_BAUTIN_SCAN)
-        if _two_cycle_shape(stage2_report):
+        shape2 = tuple(cyc.stability for cyc in stage2_report.cycles)
+        if shape2 == (CycleStability.UNSTABLE, CycleStability.STABLE):
             break
         eps *= 0.6
     else:

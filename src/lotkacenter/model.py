@@ -67,8 +67,7 @@ class Point:
     y: float
 
     def __post_init__(self) -> None:
-        if not (self.x > 0.0 and self.y > 0.0):
-            raise DomainError(f"point ({self.x}, {self.y}) is not strictly positive")
+        _positive_xy(self)
         _hold_finite_floats(self, ("x", "y"))
 
 
@@ -158,11 +157,25 @@ def _positive_xy(pt: Point | tuple[float, float]) -> tuple[float, float]:
 
 
 def vector_field(c: CanonicalParams, pt: Point | tuple[float, float]) -> tuple[float, float]:
-    """Evaluate the canonical field at a strictly positive point."""
+    """Evaluate the canonical field at a point of the open quadrant.
+
+    The field is evaluable where both coordinates are positive and
+    finite, no power overflows and both components are finite; anywhere
+    else this raises DomainError.  It is the one test of that rule: the
+    return map and the stepper's start apply it through this function,
+    and only the stepper's unrolled stages repeat it inline.
+    """
     x, y = _positive_xy(pt)
-    fx = x**c.a1 * y**c.b1 - 1.0
-    fy = c.K * (1.0 - x**c.a3 * y**c.b3)
-    return fx, fy
+    if x < math.inf and y < math.inf:
+        try:
+            fx = x**c.a1 * y**c.b1 - 1.0
+            fy = c.K * (1.0 - x**c.a3 * y**c.b3)
+        except OverflowError:
+            pass
+        else:
+            if math.isfinite(fx) and math.isfinite(fy):
+                return fx, fy
+    raise DomainError(f"field not evaluable at ({x}, {y})")
 
 
 def jacobian(c: CanonicalParams) -> JacobianSummary:

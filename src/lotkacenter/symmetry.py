@@ -10,6 +10,7 @@ rescaling, which is what ``r2_transform`` encodes.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import NamedTuple
 
@@ -28,14 +29,17 @@ __all__ = [
 
 def _swap_residual(field, pts: list[Point] | list[tuple[float, float]]) -> float:
     """Largest sup-norm of field(R p) + R(field(p)) over the points, each
-    scaled by max(1, |field(p)|)."""
+    scaled by max(1, |field(p)|); NaN when a point's residual is NaN."""
     worst = 0.0
     for pt in pts:
         x, y = _positive_xy(pt)
         g1, g2 = field((x, y))
         f1, f2 = field((y, x))
         scale = max(1.0, abs(g1), abs(g2))
-        worst = max(worst, max(abs(f1 + g2), abs(f2 + g1)) / scale)
+        for r in (abs(f1 + g2) / scale, abs(f2 + g1) / scale):
+            if math.isnan(r):
+                return r
+            worst = max(worst, r)
     return worst
 
 

@@ -233,13 +233,31 @@ def test_sweep_is_deterministic(tmp_path):
     assert first.read_text() == second.read_text()
 
 
+#: (grid flags, sha256 of the records) of each golden sweep at K = 1
+_SWEEP_GOLDEN = (
+    (
+        ("--a1-steps", "7", "--b1-steps", "7", "--a3-steps", "7"),
+        "104d6cab9ed0fdc7527a5ece1637eb9121299e854066e9e9fb37fa1bfc294159",
+    ),
+    (
+        (
+            *("--a1-range", "-1", "1", "--a1-steps", "2"),
+            *("--b1-range", "-1e200", "1e200", "--b1-steps", "2"),
+            *("--a3-range", "-1e200", "1e200", "--a3-steps", "2"),
+        ),
+        "c5058a5f7d480a874b11d3878250613ccfea4f608ae8218b3441c3d6605c8c92",
+    ),
+)
+
+
 def test_sweep_golden_output(tmp_path):
-    # a 7x7x7 grid over the default ranges reaches all five verdicts
+    # a 7x7x7 grid over the default ranges reaches all five verdicts; on
+    # the 2x2x2 grid every determinant overflows, so all eight records are
+    # "verdict": "Error"
     out_file = tmp_path / "golden.jsonl"
-    steps = ("--a1-steps", "7", "--b1-steps", "7", "--a3-steps", "7")
-    assert run_cli(["sweep", "--K", "1", *steps, "--out", str(out_file)]) == 0
-    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
-    assert digest == "104d6cab9ed0fdc7527a5ece1637eb9121299e854066e9e9fb37fa1bfc294159"
+    for grid, digest in _SWEEP_GOLDEN:
+        assert run_cli(["sweep", "--K", "1", *grid, "--out", str(out_file)]) == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest, grid
 
 
 @pytest.mark.parametrize(
@@ -398,6 +416,9 @@ def test_argument_fuzz_never_crashes(capsys):
         # pair a flag with a value sometimes so parses get further
         if rng.random() < 0.5 and len(argv) > 1:
             argv.append(rng.choice(values))
+        # a drawn sweep runs a 2x2x2 grid, not the default 125k points
+        if argv[:1] == ["sweep"]:
+            argv[1:1] = ["--a1-steps", "2", "--b1-steps", "2", "--a3-steps", "2"]
         code = run_cli(argv)
         assert code in allowed, f"iteration {i}: {argv!r} -> {code}"
 
@@ -433,6 +454,9 @@ def test_cycle_commands_golden_output(capsys, argv, digest):
 
 _K3 = repr(1.0 / 3.0)
 _K3_OFF = repr((1.0 / 3.0) * (1.0 + 1e-10))
+#: a second-family center whose transformed field is (-inf, inf) at some
+#: sample points, so its residual is NaN there
+_K300 = repr(1.0 / 300.0)
 _SIMULATE_ERR = "termination = TimeLimit  accepted = 101  rejected = 0\n"
 
 
@@ -463,6 +487,11 @@ _SIMULATE_ERR = "termination = TimeLimit  accepted = 101  rejected = 0\n"
             ["classify", "--a1", "2", "--b1", "1", "--a3", "1", "--b3", "1", "--K", "1"],
             2, "56e9e2c88e86b5e51572d215b2ee06517607bdf587cf78c7390565582a05754c", "",
             id="classify-not-elliptic",
+        ),
+        pytest.param(
+            ["classify", "--a1", "0.5", "--b1", "-0.42857142857142855", "--a3", "-3", "--b3", "2", "--K", "0.25"],
+            1, "2fc431db5360fd38eb83eb78a1984ef7ed15b731c91082d8ff4f85706cad0000", "",
+            id="classify-focus-generic-branch",
         ),
         pytest.param(
             [
@@ -536,6 +565,11 @@ _SIMULATE_ERR = "termination = TimeLimit  accepted = 101  rejected = 0\n"
             ["verify-reversible", "--family", "r2", "--a1", _K3_OFF, "--b1", "-3", "--a3", "-1", "--b3", "1", "--K", _K3_OFF],
             1, "07229cca64ab8d0a2a5544ab26a5f993f0b928dca297fc91186d89afc739ad4d", "",
             id="verify-reversible-r2-fail",
+        ),
+        pytest.param(
+            ["verify-reversible", "--family", "r2", "--a1", _K300, "--b1", "-300", "--a3", "-1", "--b3", "1", "--K", _K300],
+            1, "033099276ab884bf489f169fb1e44b509e3f6ef19090e2d9cea38fce791a7d72", "",
+            id="verify-reversible-r2-nan",
         ),
     ],
 )

@@ -168,6 +168,17 @@ def test_mismatched_parameters_break_invariance():
     assert invariance_residual(fi, wrong, helpers.quadrant_points(10, 100)) > 1e-3
 
 
+def test_a_nan_point_residual_makes_the_residual_nan():
+    # a III center whose gradient at (0.25, 4) is (nan, inf) while the
+    # field there is finite: the point must not be skipped as 0
+    c = CanonicalParams(511.0, -600.0, -1.0, 1.0, 511.0)
+    fi = build_integral(CenterCase.III, c)
+    gx, gy = gradient(fi, (0.25, 4.0))
+    assert math.isnan(gx) and gy == math.inf
+    assert math.isnan(invariance_residual(fi, c, [(0.25, 4.0)]))
+    assert math.isnan(invariance_residual(fi, c, [(1.5, 1.0), (0.25, 4.0), (1.2, 1.1)]))
+
+
 def test_build_rejects_wrong_family():
     with pytest.raises(CaseMismatch):
         build_integral(CenterCase.I, CanonicalParams(0.8, -1.5, -1.0, 1.0, 0.8))

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 from array import array
 from collections import Counter
 
@@ -19,6 +20,7 @@ from lotkacenter import (
     CenterCase,
     CycleStability,
     DomainError,
+    IntegrationFailure,
     LimitCycleReport,
     LotkaError,
     NoReturn,
@@ -150,6 +152,21 @@ def test_an_overflowing_error_norm_rejects_the_step():
         poincare_return(_OVERFLOWING_NORM, 1.3345921063318036, 1e-6)
     report = detect_limit_cycles(_OVERFLOWING_NORM, 0.3345921063318036, 0.5, 2)
     assert report.cycles == () and math.isnan(report.scan_displacements[0])
+
+
+#: elliptic and trace-free; 10**400 overflows, so the field is not
+#: evaluable at (10, 1)
+_OVERFLOWING_START = CanonicalParams(400.0, -1000.0, -1000.0, 400.0, 1.0)
+
+
+@pytest.mark.parametrize("x0", [10.0, math.inf])
+def test_a_start_where_the_field_is_not_evaluable_is_refused(x0):
+    # vector_field's DomainError becomes the error each entry point raised
+    # when it tested the start itself, with the same message
+    with pytest.raises(PreconditionViolated, match=re.escape(f"field not evaluable at ({x0}, 1.0)")):
+        poincare_return(_OVERFLOWING_START, x0)
+    with pytest.raises(IntegrationFailure, match=re.escape(f"field not evaluable at start ({x0}, 1.0)")):
+        integrate(_OVERFLOWING_START, (x0, 1.0), 1.0)
 
 
 def test_a3_zero_makes_the_section_invariant_and_the_map_refuses_it(monkeypatch):
@@ -588,6 +605,52 @@ def test_scan_maps_each_point_once(monkeypatch, c, radii):
     rep = detect_limit_cycles(c, *radii)
     assert rep.cycles
     assert len(calls) == len(set(calls))
+
+
+def test_scan_maps_a_bracket_end_at_the_refinement_tolerance(monkeypatch):
+    # a seeded near-Bautin system whose narrowing stops on an end under
+    # _NOISE_FLOOR: that end is the one refinement map Brent does not make
+    c = CanonicalParams(
+        1.0006845742215416, -2.093228719126046, -2.762065970496456, 1.0, 1.0006845742215416
+    )
+    calls = _count_maps(monkeypatch)
+    brent_maps = []
+    inner = dynamics.brentq
+
+    def counted(*args, **kwargs):
+        before = len(calls)
+        out = inner(*args, **kwargs)
+        brent_maps.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(dynamics, "brentq", counted)
+    report = detect_limit_cycles(c, 0.02, 1.5, 30)
+    refine = sum(tol == dynamics._REFINE_REL_TOL for _, _, tol in calls)
+    assert (refine - sum(brent_maps), brent_maps) == (1, [5])
+    assert _cycle_hex(report) == [("0x1.5285d02be2dc6p-3", "0x1.0000000000000p-50", "Stable")]
+
+
+def test_bautin_stage2_shrinks_eps_when_the_half_fold_lacks_the_shape(monkeypatch):
+    # at half the fold this base's stage-2 scan lacks the two-cycle shape;
+    # one shrink by 0.6 gives it
+    scanned = []
+    inner = dynamics.detect_limit_cycles
+
+    def counted(c, *radii):
+        scanned.append(c)
+        return inner(c, *radii)
+
+    monkeypatch.setattr(dynamics, "detect_limit_cycles", counted)
+    result = bautin_scenario(-2.2531572471748147, -0.9224533511859776, -0.014972105237481066)
+    # stage 1, then two stage-2 scans: the half fold's and the accepted one
+    assert scanned[::2] == [result.stage1_params, result.stage2_params] and len(scanned) == 3
+    omega = math.sqrt(jacobian(result.stage1_params).determinant)
+    half_fold = omega * result.stage1_focal.L1**2 / (8.0 * math.pi * abs(result.base_focal.L2))
+    assert result.stage2_eps == 0.6 * half_fold == 8.343369408680072e-06
+    radii = [round(cyc.radius, 4) for cyc in result.stage2_report.cycles]
+    stabilities = [cyc.stability for cyc in result.stage2_report.cycles]
+    assert radii == [0.2074, 1.0127]
+    assert stabilities == [CycleStability.UNSTABLE, CycleStability.STABLE]
 
 
 #: float.hex of (return_x, return_time) and the crossings, captured before

@@ -125,6 +125,23 @@ def test_vector_field_rejects_boundary_points():
         vector_field(c, (1.0, -1.0))
 
 
+@pytest.mark.parametrize(
+    "c, pt",
+    [
+        (CanonicalParams(400.0, -1000.0, -1000.0, 400.0, 1.0), (10.0, 1.0)),
+        (CanonicalParams(250.0, 300.0, 300.0, 250.0, 1.0), (4.0, 3.9)),
+        (CanonicalParams(-1.0, 1.0, -1.0, 1.0, 1.0), (math.inf, 1.0)),
+    ],
+    ids=["power-overflows", "component-infinite", "infinite-coordinate"],
+)
+def test_vector_field_rejects_points_where_it_is_not_evaluable(c, pt):
+    # a power that overflows, a product of finite powers that overflows
+    # without raising, and a coordinate that is not finite (where both
+    # components would be finite: inf**-1 is 0)
+    with pytest.raises(DomainError, match=re.escape(f"field not evaluable at {pt}")):
+        vector_field(c, pt)
+
+
 def test_equilibrium_is_exact():
     for i, c in enumerate(helpers.elliptic_draws(11, 40)):
         assert vector_field(c, (1.0, 1.0)) == (0.0, 0.0), f"draw {i}"

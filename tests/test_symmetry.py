@@ -17,6 +17,7 @@ from lotkacenter import (
     r2_transform,
     transformed_field_value,
 )
+from lotkacenter import symmetry
 
 
 def test_transform_exponents_collapse_to_constants():
@@ -89,6 +90,24 @@ def test_generic_field_is_not_reversible():
 def test_second_family_is_not_swap_symmetric_directly():
     pts = helpers.quadrant_points(15, 200)
     assert r1_residual(CanonicalParams(1.0 / 3.0, -3.0, -1.0, 1.0, 1.0 / 3.0), pts) > 0.05
+
+
+def test_a_nan_point_residual_makes_the_residual_nan():
+    # on this second-family center the transformed field at (0.25, 0.25)
+    # is (-inf, inf), so the swap residual there is inf - inf
+    K = 1.0 / 300.0
+    c = CanonicalParams(K, -300.0, -1.0, 1.0, K)
+    assert math.isnan(r2_residual(c, [(0.25, 0.25)]))
+    assert math.isnan(r2_residual(c, [(1.2, 0.9), (0.25, 0.25), (1.1, 1.3)]))
+    # a NaN in the second component counts as much as one in the first
+    field = {(1.0, 2.0): (3.0, 0.0), (2.0, 1.0): (0.0, math.nan)}.__getitem__
+    assert math.isnan(symmetry._swap_residual(field, [(1.0, 2.0)]))
+
+
+def test_r1_residual_refuses_a_point_where_the_field_is_not_evaluable():
+    # 4**250 * 3.9**300 overflows to inf without raising
+    with pytest.raises(DomainError, match=r"field not evaluable at \(4\.0, 3\.9\)"):
+        r1_residual(CanonicalParams(250.0, 300.0, 300.0, 250.0, 1.0), [(4.0, 3.9)])
 
 
 def test_reversible_orbit_conjugacy():
