@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import InternalInconsistency
 from .focal import L2_ZERO_TOL, FocalValues, closed_form_focal
-from .model import CLOSE_TOL, CanonicalParams, EigenvalueKind, close, jacobian
+from .model import CLOSE_TOL, _PURELY_IMAGINARY, _ZERO_EIGENVALUE, CanonicalParams, close, jacobian
 
 __all__ = [
     "CASE_CONSTRAINTS",
@@ -44,6 +44,12 @@ class Verdict(Enum):
     FOCUS_UNSTABLE = "FocusUnstable"
     NOT_ELLIPTIC = "NotElliptic"
     DEGENERATE_DET_ZERO = "DegenerateDetZero"
+
+
+# EnumType.__getattr__ makes each Verdict.X a slow lookup on Python 3.11
+_CENTER, _FOCUS_STABLE, _FOCUS_UNSTABLE, _NOT_ELLIPTIC, _DEGENERATE_DET_ZERO = Verdict
+#: the cases of every verdict but Center
+_NO_CASES = frozenset()
 
 
 class CenterClassification(NamedTuple):
@@ -139,20 +145,21 @@ def classify(c: CanonicalParams) -> CenterClassification:
     ``InternalInconsistency`` is raised.
     """
     summary = jacobian(c)
-    if summary.eigenvalue_kind is EigenvalueKind.ZERO_EIGENVALUE:
-        return CenterClassification(Verdict.DEGENERATE_DET_ZERO, frozenset(), None)
-    if summary.eigenvalue_kind is not EigenvalueKind.PURELY_IMAGINARY:
-        return CenterClassification(Verdict.NOT_ELLIPTIC, frozenset(), None)
+    kind = summary.eigenvalue_kind
+    if kind is _ZERO_EIGENVALUE:
+        return CenterClassification(_DEGENERATE_DET_ZERO, _NO_CASES, None)
+    if kind is not _PURELY_IMAGINARY:
+        return CenterClassification(_NOT_ELLIPTIC, _NO_CASES, None)
 
     fv = closed_form_focal(c, summary=summary)
     if fv.L2 is None or abs(fv.L2) > L2_ZERO_TOL:
         deciding = fv.L1 if fv.L2 is None else fv.L2
-        verdict = Verdict.FOCUS_STABLE if deciding < 0.0 else Verdict.FOCUS_UNSTABLE
-        return CenterClassification(verdict, frozenset(), fv)
+        verdict = _FOCUS_STABLE if deciding < 0.0 else _FOCUS_UNSTABLE
+        return CenterClassification(verdict, _NO_CASES, fv)
 
     cases = match_table_cases(c)
     if not cases:
         raise InternalInconsistency(
             f"L1 and L2 vanish for {c} but no center family matches"
         )
-    return CenterClassification(Verdict.CENTER, cases, fv)
+    return CenterClassification(_CENTER, cases, fv)

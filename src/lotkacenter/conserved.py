@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .classifier import CenterCase, match_table_cases
 from .errors import CaseMismatch, NoKnownIntegral
-from .model import CanonicalParams, Point, _positive_xy, jacobian, vector_field
+from .model import CanonicalParams, Point, _evaluate_at, jacobian, vector_field
 
 __all__ = [
     "FirstIntegral",
@@ -193,20 +193,30 @@ def build_integral(case: CenterCase | IntegralCase, c: CanonicalParams) -> First
     return FirstIntegral(case=case, terms=terms, factor=factor, params=c, level0=level0)
 
 
-def evaluate(fi: FirstIntegral, pt: Point | tuple[float, float]) -> float:
-    x, y = _positive_xy(pt)
-    return sum(_term_value(t, x, y) for t in fi.terms)
+def _value(terms: tuple[Term, ...], x: float, y: float) -> float:
+    return sum(_term_value(t, x, y) for t in terms)
 
 
-def gradient(fi: FirstIntegral, pt: Point | tuple[float, float]) -> tuple[float, float]:
-    x, y = _positive_xy(pt)
+def _gradient(terms: tuple[Term, ...], x: float, y: float) -> tuple[float, float]:
     gx = 0.0
     gy = 0.0
-    for t in fi.terms:
+    for t in terms:
         tx, ty = _term_gradient(t, x, y)
         gx += tx
         gy += ty
     return gx, gy
+
+
+def evaluate(fi: FirstIntegral, pt: Point | tuple[float, float]) -> float:
+    """V at a point.  Raises DomainError unless both coordinates are
+    positive and finite and no power overflows; a value that is not finite
+    at such a point is returned as it is."""
+    return _evaluate_at("first integral", _value, fi.terms, pt)
+
+
+def gradient(fi: FirstIntegral, pt: Point | tuple[float, float]) -> tuple[float, float]:
+    """grad V at a point, under ``evaluate``'s rule."""
+    return _evaluate_at("first integral gradient", _gradient, fi.terms, pt)
 
 
 def invariance_residual(

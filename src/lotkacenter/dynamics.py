@@ -653,8 +653,8 @@ def detect_limit_cycles(
     """
     if not (0.0 < r_min < r_max < math.inf):
         raise ValueError(f"need 0 < r_min < r_max < inf, got {r_min}, {r_max}")
-    if n_scan < 2:
-        raise ValueError(f"n_scan must be at least 2, got {n_scan}")
+    if not (hasattr(n_scan, "__index__") and n_scan >= 2):
+        raise ValueError(f"n_scan must be an integer of at least 2, got {n_scan!r}")
     radii = [10.0**v for v in _linspace(math.log10(r_min), math.log10(r_max), n_scan)]
     radii[0], radii[-1] = float(r_min), float(r_max)
     disp = _scan(c, radii)

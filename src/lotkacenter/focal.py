@@ -17,7 +17,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import InsufficientDegree, InternalInconsistency, PreconditionViolated
-from .model import CLOSE_TOL, CanonicalParams, EigenvalueKind, JacobianSummary, close, jacobian
+from .model import CLOSE_TOL, _PURELY_IMAGINARY, CanonicalParams, JacobianSummary, close, jacobian
 
 __all__ = [
     "FocalBranch",
@@ -47,6 +47,10 @@ class FocalBranch(Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
+# EnumType.__getattr__ makes each FocalBranch.X a slow lookup on Python 3.11
+_CASE_A_B3_ZERO, _CASE_B_D_NONZERO, _CASE_C1, _CASE_C2, _NOT_APPLICABLE = FocalBranch
+
+
 class FocalValues(NamedTuple):
     """Closed-form focal values at the equilibrium.
 
@@ -63,7 +67,7 @@ class FocalValues(NamedTuple):
 
 def _require_elliptic(js: JacobianSummary) -> float:
     """omega of a PURELY_IMAGINARY linearization; other kinds raise."""
-    if js.eigenvalue_kind is not EigenvalueKind.PURELY_IMAGINARY:
+    if js.eigenvalue_kind is not _PURELY_IMAGINARY:
         raise PreconditionViolated(
             f"linearization is {js.eigenvalue_kind.value}: trace {js.trace}, det {js.determinant}"
         )
@@ -106,11 +110,11 @@ def closed_form_focal(
         / abs(root_b1)
     )
     if abs(l1) > L1_ZERO_TOL * max(1.0, l1_scale):
-        return FocalValues(L1=l1, L2=None, d_value=d_value, branch=FocalBranch.NOT_APPLICABLE)
+        return FocalValues(l1, None, d_value, _NOT_APPLICABLE)
 
     if close(b3, 0.0):
         # a1 = K*b3 = 0 as well; every focal value vanishes
-        return FocalValues(L1=l1, L2=0.0, d_value=d_value, branch=FocalBranch.CASE_A_B3_ZERO)
+        return FocalValues(l1, 0.0, d_value, _CASE_A_B3_ZERO)
 
     if close(b3, 1.0):
         # here D = (1 + a3)(1 - K), and L1 = 0 forces D = 0
@@ -123,9 +127,9 @@ def closed_form_focal(
                 * (a3 - b1)
                 / root_b1
             )
-            return FocalValues(L1=l1, L2=l2, d_value=d_value, branch=FocalBranch.CASE_C2)
+            return FocalValues(l1, l2, d_value, _CASE_C2)
         if close(a3, -1.0):
-            return FocalValues(L1=l1, L2=0.0, d_value=d_value, branch=FocalBranch.CASE_C1)
+            return FocalValues(l1, 0.0, d_value, _CASE_C1)
         raise InternalInconsistency(
             f"L1 = {l1} is below tolerance with b3 = 1 but neither K = 1 nor a3 = -1"
         )
@@ -145,7 +149,7 @@ def closed_form_focal(
         * (1.0 + a3 + K - b3 * K)
         / (root * d_value * (1.0 - b3))
     )
-    return FocalValues(L1=l1, L2=l2, d_value=d_value, branch=FocalBranch.CASE_B_D_NONZERO)
+    return FocalValues(l1, l2, d_value, _CASE_B_D_NONZERO)
 
 
 # ---------------------------------------------------------------------------

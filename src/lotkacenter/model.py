@@ -12,9 +12,10 @@ Powers of positive reals are principal-branch throughout.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import (
     DomainError,
@@ -139,6 +140,10 @@ class EigenvalueKind(Enum):
     NOT_ELLIPTIC = "NotElliptic"
 
 
+# EnumType.__getattr__ makes each EigenvalueKind.X a slow lookup on Python 3.11
+_PURELY_IMAGINARY, _ZERO_EIGENVALUE, _NOT_ELLIPTIC = EigenvalueKind
+
+
 class JacobianSummary(NamedTuple):
     """Linearization data at (1, 1); ``omega`` is sqrt(det) if det > 0, else 0."""
 
@@ -156,6 +161,37 @@ def _positive_xy(pt: Point | tuple[float, float]) -> tuple[float, float]:
     return x, y
 
 
+def _evaluate_at(
+    what: str, fn: Callable[[Any, float, float], Any], data: Any, pt: Point | tuple[float, float]
+) -> Any:
+    """``fn(data, x, y)`` at the coordinates of a Point or pair.
+
+    Raises DomainError unless both coordinates are positive and finite
+    and no power in ``fn`` overflows; the message names ``what``.  A value
+    that is not finite at such a point is returned as it is.  This is the
+    one quadrant-and-overflow rule of every pointwise evaluator: the field,
+    a first integral and its gradient, and the transformed field.
+    """
+    x, y = _positive_xy(pt)
+    if x < math.inf and y < math.inf:
+        try:
+            return fn(data, x, y)
+        except OverflowError:
+            pass
+    raise DomainError(f"{what} not evaluable at ({x}, {y})")
+
+
+def _field_xy(c: CanonicalParams, x: float, y: float) -> tuple[float, float]:
+    """The field's components at (x, y).  OverflowError also where a
+    component is not finite: a product of two finite powers can overflow
+    to inf without raising."""
+    fx = x**c.a1 * y**c.b1 - 1.0
+    fy = c.K * (1.0 - x**c.a3 * y**c.b3)
+    if math.isfinite(fx) and math.isfinite(fy):
+        return fx, fy
+    raise OverflowError("field component is not finite")
+
+
 def vector_field(c: CanonicalParams, pt: Point | tuple[float, float]) -> tuple[float, float]:
     """Evaluate the canonical field at a point of the open quadrant.
 
@@ -165,17 +201,7 @@ def vector_field(c: CanonicalParams, pt: Point | tuple[float, float]) -> tuple[f
     return map and the stepper's start apply it through this function,
     and only the stepper's unrolled stages repeat it inline.
     """
-    x, y = _positive_xy(pt)
-    if x < math.inf and y < math.inf:
-        try:
-            fx = x**c.a1 * y**c.b1 - 1.0
-            fy = c.K * (1.0 - x**c.a3 * y**c.b3)
-        except OverflowError:
-            pass
-        else:
-            if math.isfinite(fx) and math.isfinite(fy):
-                return fx, fy
-    raise DomainError(f"field not evaluable at ({x}, {y})")
+    return _evaluate_at("field", _field_xy, c, pt)
 
 
 def jacobian(c: CanonicalParams) -> JacobianSummary:
@@ -189,10 +215,11 @@ def jacobian(c: CanonicalParams) -> JacobianSummary:
     case.  Raises PreconditionViolated when the trace, the determinant or
     either threshold is not finite.
     """
-    tr = c.a1 - c.K * c.b3
-    det = c.K * (c.a3 * c.b1 - c.a1 * c.b3)
-    tr_tol = 1e-12 * (1.0 + abs(c.a1) + c.K * abs(c.b3))
-    det_tol = 1e-12 * max(1.0, abs(c.a1 * c.K * c.b3) + abs(c.b1 * c.K * c.a3))
+    a1, b1, a3, b3, K = c.a1, c.b1, c.a3, c.b3, c.K
+    tr = a1 - K * b3
+    det = K * (a3 * b1 - a1 * b3)
+    tr_tol = 1e-12 * (1.0 + abs(a1) + K * abs(b3))
+    det_tol = 1e-12 * max(1.0, abs(a1 * K * b3) + abs(b1 * K * a3))
     finite = math.isfinite
     if not (finite(tr) and finite(det) and finite(tr_tol) and finite(det_tol)):
         raise PreconditionViolated(
@@ -201,12 +228,12 @@ def jacobian(c: CanonicalParams) -> JacobianSummary:
     omega = math.sqrt(det) if det > 0.0 else 0.0
 
     if abs(det) <= det_tol:
-        kind = EigenvalueKind.ZERO_EIGENVALUE
+        kind = _ZERO_EIGENVALUE
     elif det > 0.0 and abs(tr) <= tr_tol:
-        kind = EigenvalueKind.PURELY_IMAGINARY
+        kind = _PURELY_IMAGINARY
     else:
-        kind = EigenvalueKind.NOT_ELLIPTIC
-    return JacobianSummary(trace=tr, determinant=det, omega=omega, eigenvalue_kind=kind)
+        kind = _NOT_ELLIPTIC
+    return JacobianSummary(tr, det, omega, kind)
 
 
 def canonicalize(raw: RawLotkaParams) -> tuple[CanonicalParams, Point]:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .classifier import CASE_CONSTRAINTS, CenterCase
 from .errors import CaseMismatch
-from .model import CanonicalParams, Point, _positive_xy, close, vector_field
+from .model import CanonicalParams, Point, _evaluate_at, _positive_xy, close, vector_field
 
 __all__ = [
     "TransformedField",
@@ -88,13 +88,19 @@ def r2_transform(c: CanonicalParams) -> TransformedField:
     )
 
 
-def transformed_field_value(
-    tfield: TransformedField, pt: Point | tuple[float, float]
-) -> tuple[float, float]:
-    u, v = _positive_xy(pt)
+def _transformed_uv(tfield: TransformedField, u: float, v: float) -> tuple[float, float]:
     du = u**tfield.e_u1 - u**tfield.e_u2 * v**tfield.b1
     dv = -(v**tfield.e_v1) + u**tfield.b1 * v**tfield.e_v2
     return du, dv
+
+
+def transformed_field_value(
+    tfield: TransformedField, pt: Point | tuple[float, float]
+) -> tuple[float, float]:
+    """The transformed field at (u, v), under ``conserved.evaluate``'s
+    rule: DomainError unless both coordinates are positive and finite and
+    no power overflows; components that are not finite are returned."""
+    return _evaluate_at("transformed field", _transformed_uv, tfield, pt)
 
 
 def r2_residual(

@@ -1,5 +1,7 @@
 """Six-case matching and the center/focus verdict."""
 
+import dis
+import enum
 import hashlib
 import itertools
 import struct
@@ -30,6 +32,7 @@ from lotkacenter import (
     match_table_cases,
     taylor_expand,
 )
+from lotkacenter import classifier, focal, model
 from lotkacenter.classifier import CASE_CONSTRAINTS
 from lotkacenter.cli import _witness, main
 
@@ -516,3 +519,37 @@ def test_closed_form_focal_refuses_a_non_elliptic_summary(c):
     with pytest.raises(PreconditionViolated) as given:
         closed_form_focal(c, summary=jacobian(c))
     assert str(given.value) == str(without.value)
+
+
+def _enum_member_reads(fn):
+    """``EnumClass.MEMBER`` reads in ``fn``'s bytecode: a global bound to
+    an Enum subclass followed by an attribute load."""
+    ins = list(dis.get_instructions(fn))
+    for this, nxt in zip(ins, ins[1:]):
+        if this.opname == "LOAD_GLOBAL" and nxt.opname in ("LOAD_ATTR", "LOAD_METHOD"):
+            bound = fn.__globals__.get(this.argval)
+            if isinstance(bound, type) and issubclass(bound, enum.Enum):
+                yield f"{this.argval}.{nxt.argval}"
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [classify, jacobian, closed_form_focal, focal._require_elliptic],
+    ids=lambda fn: fn.__name__,
+)
+def test_hot_path_reads_no_enum_member_through_its_class(fn):
+    # on Python 3.11 EnumType.__getattr__ makes EnumClass.MEMBER about four
+    # times the cost of a module constant, once per verdict or branch
+    assert list(_enum_member_reads(fn)) == []
+
+
+def test_enum_member_constants_are_their_namesakes():
+    # the hot paths' member constants are unpacked from their enums in
+    # definition order; each must be the member it is named after
+    seen = 0
+    for module in (model, focal, classifier):
+        for name, value in vars(module).items():
+            if name.startswith("_") and isinstance(value, enum.Enum):
+                assert value.name == name[1:], (module.__name__, name)
+                seen += 1
+    assert seen

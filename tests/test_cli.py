@@ -571,6 +571,12 @@ _SIMULATE_ERR = "termination = TimeLimit  accepted = 101  rejected = 0\n"
             1, "033099276ab884bf489f169fb1e44b509e3f6ef19090e2d9cea38fce791a7d72", "",
             id="verify-reversible-r2-nan",
         ),
+        pytest.param(
+            ["verify-integral", "--case", "i", "--a1", "0", "--b1", "700", "--a3", "1", "--b3", "0", "--K", "1"],
+            65, hashlib.sha256(b"").hexdigest(),
+            "error: first integral gradient not evaluable at (3.1144664338609847, 3.8135692671401467)\n",
+            id="verify-integral-i-overflow",
+        ),
     ],
 )
 def test_text_commands_golden_output(capsys, argv, code, digest, err):

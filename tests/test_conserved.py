@@ -201,6 +201,22 @@ def test_evaluate_rejects_boundary():
         gradient(fi, (1.0, -1.0))
 
 
+def test_evaluators_refuse_an_infinite_coordinate():
+    # the quadrant rule of vector_field: positive and finite coordinates
+    fi = build_integral(CenterCase.I, CanonicalParams(0.0, 1.0, 1.0, 0.0, 1.0))
+    with pytest.raises(DomainError, match=r"first integral not evaluable at \(inf, 1\.0\)"):
+        evaluate(fi, (math.inf, 1.0))
+    with pytest.raises(DomainError, match=r"first integral gradient not evaluable at \(inf, 1\.0\)"):
+        gradient(fi, (math.inf, 1.0))
+
+
+def test_gradient_refuses_a_point_where_a_power_overflows():
+    # 0.25**-600 overflows in the III center's y-term
+    fi = build_integral(CenterCase.III, CanonicalParams(511.0, -600.0, -1.0, 1.0, 511.0))
+    with pytest.raises(DomainError, match=r"first integral gradient not evaluable at \(0\.25, 0\.25\)"):
+        gradient(fi, (0.25, 0.25))
+
+
 def test_orbit_follows_level_set():
     c = CanonicalParams(1.0, -1.0, -3.0, 2.0, 0.5)
     fi = build_integral(CenterCase.IV, c)

@@ -779,6 +779,14 @@ def test_integrate_rejects_non_integer_step_budget(step_budget):
         integrate(CanonicalParams(0.0, 1.0, 1.0, 0.0, 1.0), (1.3, 1.0), 1000.0, step_budget=step_budget)
 
 
+@pytest.mark.parametrize("n_scan", [15.0, 15.5], ids=["integral-float", "fractional"])
+def test_detect_limit_cycles_rejects_non_integer_n_scan(n_scan):
+    # the scan counts radii, so n_scan is an integer (anything with
+    # __index__), checked as integrate checks step_budget
+    with pytest.raises(ValueError, match="n_scan must be an integer"):
+        detect_limit_cycles(WEAK_FOCUS, 0.2, 1.4, n_scan)
+
+
 @pytest.mark.parametrize(
     "r_min, r_max",
     [(0.1, math.inf), (0.0, 1.0), (0.5, 0.5), (math.nan, 1.0), (0.1, math.nan)],

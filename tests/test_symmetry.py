@@ -110,6 +110,14 @@ def test_r1_residual_refuses_a_point_where_the_field_is_not_evaluable():
         r1_residual(CanonicalParams(250.0, 300.0, 300.0, 250.0, 1.0), [(4.0, 3.9)])
 
 
+def test_r2_residual_refuses_a_point_where_a_power_overflows():
+    # on this second-family center 0.25**-599 overflows in du
+    K = 1.0 / 600.0
+    c = CanonicalParams(K, -600.0, -1.0, 1.0, K)
+    with pytest.raises(DomainError, match=r"transformed field not evaluable at \(0\.25, 0\.25\)"):
+        r2_residual(c, [(0.25, 0.25)])
+
+
 def test_reversible_orbit_conjugacy():
     # if the flow carries p to q in time T, it carries R(q) to R(p)
     c = CanonicalParams(0.5, 2.0, 2.0, 0.5, 1.0)
