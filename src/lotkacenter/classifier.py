@@ -4,18 +4,19 @@ A trace-free elliptic equilibrium is a center exactly when the
 parameters land on one of six algebraic families.  ``CASE_CONSTRAINTS``
 below holds each family's equalities and guards, which the matcher, the
 R2 transform and the CLI witness read; the det > 0 that closes each is
-``model.jacobian``'s.  The classifier cross-checks the focal values
-(L1, L2) against the matcher and refuses to answer when they disagree.
+``model.jacobian``'s.  Once L1 vanishes, a family match alone decides
+Center, and the focal values (L2, then L1) only sign a focus.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import InternalInconsistency
-from .focal import L2_ZERO_TOL, FocalValues, closed_form_focal
+from .errors import PreconditionViolated
+from .focal import FocalValues, closed_form_focal
 from .model import CLOSE_TOL, _PURELY_IMAGINARY, _ZERO_EIGENVALUE, CanonicalParams, close, jacobian
 
 __all__ = [
@@ -140,9 +141,10 @@ def classify(c: CanonicalParams) -> CenterClassification:
     call: ZERO_EIGENVALUE gives DegenerateDetZero, NOT_ELLIPTIC gives
     NotElliptic, and a linearization that is not finite raises
     PreconditionViolated.  Otherwise the closed-form focal values, handed
-    the same summary, decide focus versus center, and the center verdict
-    must be corroborated by at least one family match or an
-    ``InternalInconsistency`` is raised.
+    the same summary, decide in one order: an L1 that does not vanish (L2
+    None) signs a focus; else a family match gives Center; else a finite,
+    nonzero L2 signs a focus, or where L2 is 0 a finite, nonzero L1 does
+    (L2 None); anything else, such as an overflowed L2, is refused.
     """
     summary = jacobian(c)
     kind = summary.eigenvalue_kind
@@ -152,14 +154,16 @@ def classify(c: CanonicalParams) -> CenterClassification:
         return CenterClassification(_NOT_ELLIPTIC, _NO_CASES, None)
 
     fv = closed_form_focal(c, summary=summary)
-    if fv.L2 is None or abs(fv.L2) > L2_ZERO_TOL:
-        deciding = fv.L1 if fv.L2 is None else fv.L2
-        verdict = _FOCUS_STABLE if deciding < 0.0 else _FOCUS_UNSTABLE
-        return CenterClassification(verdict, _NO_CASES, fv)
-
-    cases = match_table_cases(c)
-    if not cases:
-        raise InternalInconsistency(
-            f"L1 and L2 vanish for {c} but no center family matches"
-        )
-    return CenterClassification(_CENTER, cases, fv)
+    if fv.L2 is not None:
+        cases = match_table_cases(c)
+        if cases:
+            return CenterClassification(_CENTER, cases, fv)
+        if fv.L2 == 0.0 and 0.0 < abs(fv.L1) < math.inf:
+            fv = FocalValues(fv.L1, None, fv.d_value, fv.branch)
+        elif not 0.0 < abs(fv.L2) < math.inf:
+            raise PreconditionViolated(
+                f"no family matches {c}; neither L2 = {fv.L2} nor L1 = {fv.L1} signs a focus"
+            )
+    deciding = fv.L1 if fv.L2 is None else fv.L2
+    verdict = _FOCUS_STABLE if deciding < 0.0 else _FOCUS_UNSTABLE
+    return CenterClassification(verdict, _NO_CASES, fv)

@@ -46,7 +46,7 @@ class NoKnownIntegral(LotkaError):
 
 
 class InternalInconsistency(LotkaError):
-    """Two routes that must agree produced contradictory answers."""
+    """A self-check of the numeric Lyapunov engine, its only raiser, failed."""
 
 
 class BadBase(LotkaError):

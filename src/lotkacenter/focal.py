@@ -31,8 +31,6 @@ __all__ = [
 
 #: L1 counts as zero within this multiple of the magnitude of its terms
 L1_ZERO_TOL = 1e-10
-#: L2 counts as zero below this absolute value
-L2_ZERO_TOL = 1e-10
 #: numeric Lyapunov quantities below this absolute value count as vanished
 _VANISH_TOL = 1e-8
 
@@ -54,9 +52,9 @@ _CASE_A_B3_ZERO, _CASE_B_D_NONZERO, _CASE_C1, _CASE_C2, _NOT_APPLICABLE = FocalB
 class FocalValues(NamedTuple):
     """Closed-form focal values at the equilibrium.
 
-    ``L2`` is None when L1 does not vanish, in which case it carries no
-    stability information anyway.  ``d_value`` is the recurring
-    combination D = 1 + a3 - a3*K - b3*K that organizes the case split.
+    ``L2`` is None when L1 decides: it does not vanish, or the algebra
+    rules L1 = 0 out (b3 = 1 off both corners, or D = 0 off b3 = 1).
+    ``d_value`` is D = 1 + a3 - a3*K - b3*K, which organizes the case split.
     """
 
     L1: float
@@ -87,7 +85,8 @@ def closed_form_focal(
     vanishes the branch for L2 is decided on the algebra: b3 = 0 and the
     (b3 = 1, a3 = -1) corner force L2 = 0, the (b3 = 1, K = 1) corner has
     its own quartic product formula, and the generic branch (D != 0, b3
-    not in {0, 1}) has the six-factor formula.
+    not in {0, 1}) has the six-factor formula.  Elsewhere L1 decides, as
+    when it does not vanish, and a 0 or non-finite L1 there is refused.
     """
     a1, b1, a3, b3, K = c.a1, c.b1, c.a3, c.b3, c.K
     root = _require_elliptic(jacobian(c) if summary is None else summary)
@@ -130,26 +129,23 @@ def closed_form_focal(
             return FocalValues(l1, l2, d_value, _CASE_C2)
         if close(a3, -1.0):
             return FocalValues(l1, 0.0, d_value, _CASE_C1)
-        raise InternalInconsistency(
-            f"L1 = {l1} is below tolerance with b3 = 1 but neither K = 1 nor a3 = -1"
+    elif abs(d_value) > CLOSE_TOL * (1.0 + abs(a3) * (1.0 + K) + abs(b3) * K):
+        # generic branch: b3 not in {0, 1} and D != 0
+        l2 = (
+            (math.pi / 288.0)
+            * ((a3 + b3) * (a3 + b3))
+            * b3
+            * (1.0 + a3 - b3 * K)
+            * (1.0 - b3 * K)
+            * (1.0 - K)
+            * (1.0 + a3 + K - b3 * K)
+            / (root * d_value * (1.0 - b3))
         )
-
-    # generic branch: b3 not in {0, 1}; D = 0 here would force L1 away from 0
-    if abs(d_value) <= CLOSE_TOL * (1.0 + abs(a3) * (1.0 + K) + abs(b3) * K):
-        raise InternalInconsistency(
-            f"L1 = {l1} is below tolerance with D = {d_value} ~ 0 but b3 = {b3} not 1"
-        )
-    l2 = (
-        (math.pi / 288.0)
-        * ((a3 + b3) * (a3 + b3))
-        * b3
-        * (1.0 + a3 - b3 * K)
-        * (1.0 - b3 * K)
-        * (1.0 - K)
-        * (1.0 + a3 + K - b3 * K)
-        / (root * d_value * (1.0 - b3))
-    )
-    return FocalValues(l1, l2, d_value, _CASE_B_D_NONZERO)
+        return FocalValues(l1, l2, d_value, _CASE_B_D_NONZERO)
+    # b3 = 1 off both corners, or D = 0 off b3 = 1: L1 = 0 has no solution
+    if not 0.0 < abs(l1) < math.inf:
+        raise PreconditionViolated(f"L1 = {l1} is 0 or not finite where it decides: b3 {b3}")
+    return FocalValues(l1, None, d_value, _NOT_APPLICABLE)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dis
 import enum
 import hashlib
 import itertools
+import math
 import struct
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from lotkacenter import (
     CenterClassification,
     FocalBranch,
     FocalValues,
-    InternalInconsistency,
     LotkaError,
     PreconditionViolated,
     Verdict,
@@ -98,18 +98,24 @@ def _near_family_base() -> list[CanonicalParams]:
     return base + helpers.c2_stratum_draws(99, 300) + helpers.case_b_stratum_draws(98, 300)
 
 
-def test_match_sets_near_the_families_digest():
-    # 2,400 draws on the families and the two focal strata, each moved off
-    # them at five scales (a fresh default_rng(7) per scale: a1, b1, a3 get
-    # N(0, s) added, K is scaled by 1 + N(0, s), and b3 = a1/K); the matched
-    # sets as captured before the families moved into one table
+def _near_family_draws() -> list[CanonicalParams]:
+    """The 2,400 base draws moved off their families at five scales s, a
+    fresh default_rng(7) per scale: a1, b1, a3 get N(0, s) added, K is
+    scaled by 1 + N(0, s), and b3 = a1/K puts the trace at zero."""
     base = _near_family_base()
-    case_sets = []
+    out = []
     for s in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
         noise = np.random.default_rng(7).normal(0.0, s, (len(base), 4))
         for c, (da1, db1, da3, dk) in zip(base, noise.tolist()):
             a1, K = c.a1 + da1, c.K * (1.0 + dk)
-            case_sets.append(match_table_cases(CanonicalParams(a1, c.b1 + db1, c.a3 + da3, a1 / K, K)))
+            out.append(CanonicalParams(a1, c.b1 + db1, c.a3 + da3, a1 / K, K))
+    return out
+
+
+def test_match_sets_near_the_families_digest():
+    # the matched sets of the near-family draws, as captured before the
+    # families moved into one table
+    case_sets = [match_table_cases(d) for d in _near_family_draws()]
     assert len(case_sets) == 12_000
     masks = bytes(sum(1 << i for i, case in enumerate(ALL_CASES) if case in cs) for cs in case_sets)
     assert hashlib.sha256(masks).hexdigest() == (
@@ -237,18 +243,50 @@ def test_focal_routes_share_the_ellipticity_decision(c):
 EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-12, 1.0, -1.0, 2.0, 1e300, -1e300, 1.7e308)
 
 
+def _totality_fault(c: CanonicalParams) -> str | None:
+    """What is wrong with ``classify(c)``: None when it refuses with
+    PreconditionViolated, or answers and each focus has the sign of a
+    finite, nonzero deciding value (L2, or L1 where L2 is None)."""
+    try:
+        r = classify(c)
+    except PreconditionViolated:
+        return None
+    except Exception as exc:
+        return type(exc).__name__
+    if r.verdict in (Verdict.FOCUS_STABLE, Verdict.FOCUS_UNSTABLE):
+        deciding = r.focal.L1 if r.focal.L2 is None else r.focal.L2
+        if not 0.0 < abs(deciding) < math.inf:
+            return f"focus decided by {deciding}"
+        if (deciding < 0.0) is not (r.verdict is Verdict.FOCUS_STABLE):
+            return f"{r.verdict} decided by {deciding}"
+    return None
+
+
 def test_classify_is_total_on_extreme_magnitudes():
-    escaped = []
+    faults = []
     for a1, b1, a3, b3 in itertools.product(EXTREMES, repeat=4):
         for K in (5e-324, 1e-300, 1.0, 1e300, 1.7e308):
-            c = CanonicalParams(a1, b1, a3, b3, K)
             try:
-                classify(c)
-            except (LotkaError, ValueError):
-                pass
-            except Exception as exc:
-                escaped.append((c, type(exc).__name__))
-    assert not escaped, f"{len(escaped)} escapes, first {escaped[:3]}"
+                c = CanonicalParams(a1, b1, a3, b3, K)
+            except ValueError:
+                continue
+            fault = _totality_fault(c)
+            if fault is not None:
+                faults.append((c, fault))
+    assert not faults, f"{len(faults)} faults, first {faults[:3]}"
+
+
+@pytest.mark.parametrize(
+    "c",
+    [CanonicalParams(1.0, 1.0, 1e300, 1.0, 1.0), CanonicalParams(1.0, 1e-12, 1.7e308, 1.0, 1.0)],
+)
+def test_classify_refuses_an_overflowed_l2_without_a_family(c):
+    # b3 = K = 1 and a1 = 1: L1 is 0 in Q, but D rounds to -1, not 0, so
+    # the float L1 is nonzero round-off; the corner L2 overflows to inf
+    assert closed_form_focal(c).L2 == math.inf
+    assert not match_table_cases(c)
+    with pytest.raises(PreconditionViolated, match="signs a focus"):
+        classify(c)
 
 
 @pytest.mark.parametrize(
@@ -275,9 +313,10 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def test_classify_is_total_on_trace_free_floats(a1, b1, a3, K):
     # subnormals included; b3 = a1/K puts the trace at zero
     try:
-        classify(CanonicalParams(a1, b1, a3, a1 / K, K))
-    except (LotkaError, ValueError):
-        pass
+        c = CanonicalParams(a1, b1, a3, a1 / K, K)
+    except ValueError:
+        return
+    assert _totality_fault(c) is None
 
 
 def test_row_boundary_meets_degeneracy():
@@ -402,9 +441,10 @@ def test_classification_record_text(capsys):
     assert "verdict=FocusUnstable" in text
 
 
-#: two of the near-family draws of test_match_sets_near_the_families_digest
-#: (scales 1e-9 and 1e-8) on which closed_form_focal's branch split raises:
-#: D ~ 0 with b3 not 1, and b3 ~ 1 with neither K = 1 nor a3 = -1
+#: two of the near-family draws (scales 1e-9 and 1e-8) on which L1 vanishes
+#: within its window where the algebra rules L1 = 0 out: D ~ 0 with b3 not
+#: 1, and b3 ~ 1 with neither K = 1 nor a3 = -1.  L1 decides there, where
+#: closed_form_focal's branch split once raised
 FOCAL_BRANCH_RAISES = (
     CanonicalParams(
         0.2269037879504446, -4.663676679216955, -0.9999999991623714,
@@ -424,14 +464,15 @@ FOCAL_BRANCH_RAISES = (
         (CanonicalParams(2.0, 1.0, 1.0, 1.0, 1.0), Verdict.NOT_ELLIPTIC),
         (CanonicalParams(1.0, 2.0, 1.0, 1.0, 1.0), Verdict.FOCUS_STABLE),
         (CanonicalParams(0.0, 1.0, 1.0, 0.0, 3.0), Verdict.CENTER),
-        (FOCAL_BRANCH_RAISES[0], "with D = "),
-        (FOCAL_BRANCH_RAISES[1], "neither K = 1 nor a3 = -1"),
+        # both L1 are positive in Q on b3 := a1/K
+        (FOCAL_BRANCH_RAISES[0], Verdict.FOCUS_UNSTABLE),
+        (FOCAL_BRANCH_RAISES[1], Verdict.FOCUS_UNSTABLE),
     ],
     ids=["degenerate", "not-elliptic", "focus", "center", "raise-d-zero", "raise-b3-one"],
 )
 def test_classify_linearizes_once(monkeypatch, c, outcome):
     # one jacobian call per classify, whether the focal values are needed,
-    # decide the verdict or raise in their branch split
+    # or L1 decides off every L2 branch
     calls = []
 
     def counted(arg):
@@ -440,11 +481,7 @@ def test_classify_linearizes_once(monkeypatch, c, outcome):
 
     monkeypatch.setattr("lotkacenter.classifier.jacobian", counted)
     monkeypatch.setattr("lotkacenter.focal.jacobian", counted)
-    if isinstance(outcome, Verdict):
-        assert classify(c).verdict is outcome
-    else:
-        with pytest.raises(InternalInconsistency, match=outcome):
-            classify(c)
+    assert classify(c).verdict is outcome
     assert calls == [c]
 
 
@@ -472,10 +509,11 @@ def test_classify_focal_values_are_closed_form_focal_bits():
     # the near-family draws of test_match_sets_near_the_families_digest at
     # 1e-9 to 1e-6, each trace-free and once more with b3 moved off a1/K:
     # classify, which hands its summary on, gives closed_form_focal's bits
-    # or its exact error; where the point is not elliptic, closed_form_focal
+    # or its exact error, with L2 = None where an L2 of 0 leaves L1 to
+    # decide a focus; where the point is not elliptic, closed_form_focal
     # raises the same message with the summary as without it
     base = _near_family_base()
-    seen = {"focal": 0, "raise": 0, "refused": 0}
+    seen = {"focal": 0, "l1-decides": 0, "refused": 0}
     bad = []
     for s in (1e-9, 1e-8, 1e-7, 1e-6):
         noise = np.random.default_rng(7).normal(0.0, s, (len(base), 4))
@@ -487,21 +525,95 @@ def test_classify_focal_values_are_closed_form_focal_bits():
                 want, got = _outcome(closed_form_focal, d), _outcome(classify, d)
                 if isinstance(got, CenterClassification) and got.focal is not None:
                     seen["focal"] += 1
+                    focus = got.verdict is not Verdict.CENTER
+                    if focus and isinstance(want, FocalValues) and want.L2 == 0.0:
+                        seen["l1-decides"] += 1
+                        want = want._replace(L2=None)
                     ok = isinstance(want, FocalValues) and _focal_bits(got.focal) == _focal_bits(want)
                 elif isinstance(got, CenterClassification):
                     seen["refused"] += 1
                     again = _outcome(lambda d: closed_form_focal(d, summary=jacobian(d)), d)
                     ok = isinstance(want, PreconditionViolated) and _same_error(again, want)
-                elif isinstance(want, LotkaError):
-                    seen["raise"] += 1
-                    ok = _same_error(got, want)
                 else:
-                    # the classifier's own raise: L2 vanishes, no family matches
-                    ok = isinstance(got, InternalInconsistency) and "no center family" in str(got)
+                    ok = isinstance(want, LotkaError) and _same_error(got, want)
                 if not ok:
                     bad.append((s, i, d, want, got))
     assert not bad, f"{len(bad)} differ, first {bad[:2]}"
     assert all(seen.values()), seen
+
+
+def _exact_sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _exact_deciding_sign(d: CanonicalParams, fv: FocalValues) -> int:
+    """Sign in Q, on the trace-projected input (b3 := a1/K), of the closed
+    form that decided a focus: L1 where ``fv.L2`` is None, else the L2 of
+    ``fv.branch``.  pi, omega and K are positive factors and drop out."""
+    a1, b1, a3, K = map(Fraction, (d.a1, d.b1, d.a3, d.K))
+    b3 = a1 / K
+    D = 1 + a3 - a3 * K - b3 * K
+    if fv.L2 is None:
+        # L1 = (pi/8) K b3 (b1 D - a3 (1 - b3) K) / (omega b1)
+        return _exact_sign(b3 * (b1 * D - a3 * (1 - b3) * K) * b1)
+    if fv.branch is FocalBranch.CASE_C2:
+        # L2 = (pi/288) a3 (1 + a3) (1 + b1) (a3 - b1) / (omega b1)
+        return _exact_sign(a3 * (1 + a3) * (1 + b1) * (a3 - b1) * b1)
+    assert fv.branch is FocalBranch.CASE_B_D_NONZERO, fv
+    numerator = (
+        (a3 + b3) ** 2 * b3 * (1 + a3 - b3 * K) * (1 - b3 * K) * (1 - K) * (1 + a3 + K - b3 * K)
+    )
+    return _exact_sign(numerator * D * (1 - b3))
+
+
+def test_near_family_foci_have_the_exact_sign_of_their_deciding_closed_form():
+    # the 12,000 near-family draws at 1e-10 to 1e-6: classify raises
+    # nothing, and every focus, whichever of L1 and L2 decided it and on
+    # either side of a tolerance, has its deciding closed form's sign in Q
+    seen = {"L1": 0, "L2": 0}
+    bad = []
+    for i, d in enumerate(_near_family_draws()):
+        r = classify(d)
+        if r.verdict in (Verdict.FOCUS_STABLE, Verdict.FOCUS_UNSTABLE):
+            seen["L1" if r.focal.L2 is None else "L2"] += 1
+            want = -1 if r.verdict is Verdict.FOCUS_STABLE else 1
+            if _exact_deciding_sign(d, r.focal) != want:
+                bad.append((i, d, r))
+    assert not bad, f"{len(bad)} foci of the wrong sign, first {bad[:2]}"
+    assert all(seen.values()), seen
+
+
+#: free (b1, b3) of exact R2 points whose a1 and a3 are near -700: round-off
+#: leaves L2 near -1.1e-10 to -1.4e-10, and the family match alone decides
+R2_LARGE_EXPONENTS = (
+    (-13.812608418989228, -12.793679406261568),
+    (-19.826063157537085, -18.803491748694437),
+    (-17.268905357052375, -16.24885984740604),
+)
+
+
+@pytest.mark.parametrize("b1, b3", R2_LARGE_EXPONENTS)
+def test_exact_r2_points_with_large_exponents_are_centers(b1, b3):
+    r = classify(CanonicalParams(*CASE_CONSTRAINTS[CenterCase.R2].point(b1, b3)))
+    assert r.verdict is Verdict.CENTER
+    assert CenterCase.R2 in r.cases
+
+
+def _classify_argv(c: CanonicalParams) -> list[str]:
+    names = ("a1", "b1", "a3", "b3", "K")
+    return ["classify", *itertools.chain(*((f"--{n}", repr(getattr(c, n))) for n in names))]
+
+
+def test_cli_classify_exits_on_the_single_decision(capsys):
+    # an exact R2 point with large exponents is a center (exit 0); where L1
+    # decides off every L2 branch, a focus (exit 1) with L1's witness
+    r2 = CanonicalParams(*CASE_CONSTRAINTS[CenterCase.R2].point(*R2_LARGE_EXPONENTS[0]))
+    assert main(_classify_argv(r2)) == 0
+    assert "verdict=Center" in capsys.readouterr().out
+    assert main(_classify_argv(FOCAL_BRANCH_RAISES[1])) == 1
+    text = capsys.readouterr().out
+    assert "verdict=FocusUnstable" in text
+    assert "witness=L1 != 0" in text
 
 
 @pytest.mark.parametrize(
