@@ -17,7 +17,9 @@ from typing import NamedTuple
 
 from .errors import PreconditionViolated
 from .focal import FocalValues, closed_form_focal
-from .model import CLOSE_TOL, _PURELY_IMAGINARY, _ZERO_EIGENVALUE, CanonicalParams, close, jacobian
+from .model import (
+    CLOSE_TOL, _PURELY_IMAGINARY, _ZERO_EIGENVALUE, CanonicalParams, _new_record, close, jacobian
+)
 
 __all__ = [
     "CASE_CONSTRAINTS",
@@ -149,21 +151,21 @@ def classify(c: CanonicalParams) -> CenterClassification:
     summary = jacobian(c)
     kind = summary.eigenvalue_kind
     if kind is _ZERO_EIGENVALUE:
-        return CenterClassification(_DEGENERATE_DET_ZERO, _NO_CASES, None)
+        return _new_record(CenterClassification, (_DEGENERATE_DET_ZERO, _NO_CASES, None))
     if kind is not _PURELY_IMAGINARY:
-        return CenterClassification(_NOT_ELLIPTIC, _NO_CASES, None)
+        return _new_record(CenterClassification, (_NOT_ELLIPTIC, _NO_CASES, None))
 
     fv = closed_form_focal(c, summary=summary)
     if fv.L2 is not None:
         cases = match_table_cases(c)
         if cases:
-            return CenterClassification(_CENTER, cases, fv)
+            return _new_record(CenterClassification, (_CENTER, cases, fv))
         if fv.L2 == 0.0 and 0.0 < abs(fv.L1) < math.inf:
-            fv = FocalValues(fv.L1, None, fv.d_value, fv.branch)
+            fv = _new_record(FocalValues, (fv.L1, None, fv.d_value, fv.branch))
         elif not 0.0 < abs(fv.L2) < math.inf:
             raise PreconditionViolated(
                 f"no family matches {c}; neither L2 = {fv.L2} nor L1 = {fv.L1} signs a focus"
             )
     deciding = fv.L1 if fv.L2 is None else fv.L2
     verdict = _FOCUS_STABLE if deciding < 0.0 else _FOCUS_UNSTABLE
-    return CenterClassification(verdict, _NO_CASES, fv)
+    return _new_record(CenterClassification, (verdict, _NO_CASES, fv))

@@ -43,6 +43,10 @@ class TermKind(Enum):
     SUM_POWER = "(x + y)**e"
 
 
+# EnumType.__getattr__ makes each TermKind.X a slow lookup on Python 3.11
+_POWER_X, _POWER_Y, _LOG_X, _LOG_Y, _MIXED_POWER, _SUM_RECIP_POWER, _SUM_POWER = TermKind
+
+
 class Term(NamedTuple):
     coeff: float
     kind: TermKind
@@ -74,34 +78,34 @@ class FirstIntegral(NamedTuple):
 
 
 def _term_value(t: Term, x: float, y: float) -> float:
-    if t.kind is TermKind.POWER_X:
+    if t.kind is _POWER_X:
         return t.coeff * x**t.x_exp
-    if t.kind is TermKind.POWER_Y:
+    if t.kind is _POWER_Y:
         return t.coeff * y**t.y_exp
-    if t.kind is TermKind.LOG_X:
+    if t.kind is _LOG_X:
         return t.coeff * math.log(x)
-    if t.kind is TermKind.LOG_Y:
+    if t.kind is _LOG_Y:
         return t.coeff * math.log(y)
-    if t.kind is TermKind.MIXED_POWER:
+    if t.kind is _MIXED_POWER:
         return t.coeff * x**t.x_exp * y**t.y_exp
-    if t.kind is TermKind.SUM_RECIP_POWER:
+    if t.kind is _SUM_RECIP_POWER:
         return t.coeff * (1.0 / x + 1.0 / y) ** t.x_exp
     return t.coeff * (x + y) ** t.x_exp
 
 
 def _term_gradient(t: Term, x: float, y: float) -> tuple[float, float]:
-    if t.kind is TermKind.POWER_X:
+    if t.kind is _POWER_X:
         return t.coeff * t.x_exp * x ** (t.x_exp - 1.0), 0.0
-    if t.kind is TermKind.POWER_Y:
+    if t.kind is _POWER_Y:
         return 0.0, t.coeff * t.y_exp * y ** (t.y_exp - 1.0)
-    if t.kind is TermKind.LOG_X:
+    if t.kind is _LOG_X:
         return t.coeff / x, 0.0
-    if t.kind is TermKind.LOG_Y:
+    if t.kind is _LOG_Y:
         return 0.0, t.coeff / y
-    if t.kind is TermKind.MIXED_POWER:
+    if t.kind is _MIXED_POWER:
         base = t.coeff * x**t.x_exp * y**t.y_exp
         return base * t.x_exp / x, base * t.y_exp / y
-    if t.kind is TermKind.SUM_RECIP_POWER:
+    if t.kind is _SUM_RECIP_POWER:
         shell = t.coeff * t.x_exp * (1.0 / x + 1.0 / y) ** (t.x_exp - 1.0)
         return -shell / (x * x), -shell / (y * y)
     shell = t.coeff * t.x_exp * (x + y) ** (t.x_exp - 1.0)

@@ -17,7 +17,9 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import InsufficientDegree, InternalInconsistency, PreconditionViolated
-from .model import CLOSE_TOL, _PURELY_IMAGINARY, CanonicalParams, JacobianSummary, close, jacobian
+from .model import (
+    CLOSE_TOL, _PURELY_IMAGINARY, CanonicalParams, JacobianSummary, _new_record, close, jacobian
+)
 
 __all__ = [
     "FocalBranch",
@@ -33,6 +35,8 @@ __all__ = [
 L1_ZERO_TOL = 1e-10
 #: numeric Lyapunov quantities below this absolute value count as vanished
 _VANISH_TOL = 1e-8
+#: the leading factors of L1 and L2, divided once at import
+_PI_8, _PI_288 = math.pi / 8.0, math.pi / 288.0
 
 
 class FocalBranch(Enum):
@@ -98,41 +102,36 @@ def closed_form_focal(
     root_b1 = root * b1
     if root_b1 == 0.0:
         raise PreconditionViolated(f"omega * b1 is 0 in floating point: omega {root}, b1 {b1}")
-    l1 = (math.pi / 8.0) * K * b3 * bracket / root_b1
+    l1 = _PI_8 * K * b3 * bracket / root_b1
 
     # magnitude of the two bracket contributions, for a scale-aware zero test
+    abs_a3, abs_b3 = abs(a3), abs(b3)
     l1_scale = (
-        (math.pi / 8.0)
+        _PI_8
         * K
-        * abs(b3)
-        * (abs(b1) * (1.0 + abs(a3) * (1.0 + K) + abs(b3) * K) + abs(a3) * (1.0 + abs(b3)) * K)
+        * abs_b3
+        * (abs(b1) * (1.0 + abs_a3 * (1.0 + K) + abs_b3 * K) + abs_a3 * (1.0 + abs_b3) * K)
         / abs(root_b1)
     )
-    if abs(l1) > L1_ZERO_TOL * max(1.0, l1_scale):
-        return FocalValues(l1, None, d_value, _NOT_APPLICABLE)
+    # max(1, l1_scale), spelled as dynamics._drive does: the same float, NaN too
+    if abs(l1) > L1_ZERO_TOL * (l1_scale if l1_scale > 1.0 else 1.0):
+        return _new_record(FocalValues, (l1, None, d_value, _NOT_APPLICABLE))
 
     if close(b3, 0.0):
         # a1 = K*b3 = 0 as well; every focal value vanishes
-        return FocalValues(l1, 0.0, d_value, _CASE_A_B3_ZERO)
+        return _new_record(FocalValues, (l1, 0.0, d_value, _CASE_A_B3_ZERO))
 
     if close(b3, 1.0):
         # here D = (1 + a3)(1 - K), and L1 = 0 forces D = 0
         if close(K, 1.0) and (not close(a3, -1.0) or abs(K - 1.0) <= abs(a3 + 1.0)):
-            l2 = (
-                (math.pi / 288.0)
-                * a3
-                * (1.0 + a3)
-                * (1.0 + b1)
-                * (a3 - b1)
-                / root_b1
-            )
-            return FocalValues(l1, l2, d_value, _CASE_C2)
+            l2 = _PI_288 * a3 * (1.0 + a3) * (1.0 + b1) * (a3 - b1) / root_b1
+            return _new_record(FocalValues, (l1, l2, d_value, _CASE_C2))
         if close(a3, -1.0):
-            return FocalValues(l1, 0.0, d_value, _CASE_C1)
-    elif abs(d_value) > CLOSE_TOL * (1.0 + abs(a3) * (1.0 + K) + abs(b3) * K):
+            return _new_record(FocalValues, (l1, 0.0, d_value, _CASE_C1))
+    elif abs(d_value) > CLOSE_TOL * (1.0 + abs_a3 * (1.0 + K) + abs_b3 * K):
         # generic branch: b3 not in {0, 1} and D != 0
         l2 = (
-            (math.pi / 288.0)
+            _PI_288
             * ((a3 + b3) * (a3 + b3))
             * b3
             * (1.0 + a3 - b3 * K)
@@ -141,11 +140,11 @@ def closed_form_focal(
             * (1.0 + a3 + K - b3 * K)
             / (root * d_value * (1.0 - b3))
         )
-        return FocalValues(l1, l2, d_value, _CASE_B_D_NONZERO)
+        return _new_record(FocalValues, (l1, l2, d_value, _CASE_B_D_NONZERO))
     # b3 = 1 off both corners, or D = 0 off b3 = 1: L1 = 0 has no solution
     if not 0.0 < abs(l1) < math.inf:
         raise PreconditionViolated(f"L1 = {l1} is 0 or not finite where it decides: b3 {b3}")
-    return FocalValues(l1, None, d_value, _NOT_APPLICABLE)
+    return _new_record(FocalValues, (l1, None, d_value, _NOT_APPLICABLE))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import enum
 import hashlib
 import itertools
 import math
+import pickle
 import struct
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from lotkacenter import (
     CenterClassification,
     FocalBranch,
     FocalValues,
+    JacobianSummary,
     LotkaError,
     PreconditionViolated,
     Verdict,
@@ -32,7 +34,7 @@ from lotkacenter import (
     match_table_cases,
     taylor_expand,
 )
-from lotkacenter import classifier, focal, model
+from lotkacenter import classifier, conserved, focal, model
 from lotkacenter.classifier import CASE_CONSTRAINTS
 from lotkacenter.cli import _witness, main
 
@@ -457,19 +459,30 @@ FOCAL_BRANCH_RAISES = (
 )
 
 
-@pytest.mark.parametrize(
-    "c, outcome",
-    [
-        (CanonicalParams(1.0, 1.0, 1.0, 1.0, 1.0), Verdict.DEGENERATE_DET_ZERO),
-        (CanonicalParams(2.0, 1.0, 1.0, 1.0, 1.0), Verdict.NOT_ELLIPTIC),
-        (CanonicalParams(1.0, 2.0, 1.0, 1.0, 1.0), Verdict.FOCUS_STABLE),
-        (CanonicalParams(0.0, 1.0, 1.0, 0.0, 3.0), Verdict.CENTER),
-        # both L1 are positive in Q on b3 := a1/K
-        (FOCAL_BRANCH_RAISES[0], Verdict.FOCUS_UNSTABLE),
-        (FOCAL_BRANCH_RAISES[1], Verdict.FOCUS_UNSTABLE),
-    ],
-    ids=["degenerate", "not-elliptic", "focus", "center", "raise-d-zero", "raise-b3-one"],
-)
+#: one input per return of classify: degenerate, not elliptic, a focus that
+#: L2 decides (on the b3 = K = 1 corner), Center, two where L1 decides off
+#: every L2 branch, a focus that L1 decides beyond its window, and a
+#: near-family draw whose L2 of 0 (b3 ~ 0) hands the focus to L1
+CLASSIFY_RETURNS = {
+    "degenerate": (CanonicalParams(1.0, 1.0, 1.0, 1.0, 1.0), Verdict.DEGENERATE_DET_ZERO),
+    "not-elliptic": (CanonicalParams(2.0, 1.0, 1.0, 1.0, 1.0), Verdict.NOT_ELLIPTIC),
+    "focus": (CanonicalParams(1.0, 2.0, 1.0, 1.0, 1.0), Verdict.FOCUS_STABLE),
+    "center": (CanonicalParams(0.0, 1.0, 1.0, 0.0, 3.0), Verdict.CENTER),
+    # both L1 are positive in Q on b3 := a1/K
+    "raise-d-zero": (FOCAL_BRANCH_RAISES[0], Verdict.FOCUS_UNSTABLE),
+    "raise-b3-one": (FOCAL_BRANCH_RAISES[1], Verdict.FOCUS_UNSTABLE),
+    "l1-focus": (CanonicalParams(1.0, 2.0, 1.0, 0.5, 2.0), Verdict.FOCUS_STABLE),
+    "l2-zero-l1-focus": (
+        CanonicalParams(
+            1.1661277761902228e-09, 3.6349367239807155, 0.7521494933013428,
+            4.86181565215746e-10, 2.3985437943800823,
+        ),
+        Verdict.FOCUS_STABLE,
+    ),
+}
+
+
+@pytest.mark.parametrize("c, outcome", CLASSIFY_RETURNS.values(), ids=CLASSIFY_RETURNS.keys())
 def test_classify_linearizes_once(monkeypatch, c, outcome):
     # one jacobian call per classify, whether the focal values are needed,
     # or L1 decides off every L2 branch
@@ -483,6 +496,41 @@ def test_classify_linearizes_once(monkeypatch, c, outcome):
     monkeypatch.setattr("lotkacenter.focal.jacobian", counted)
     assert classify(c).verdict is outcome
     assert calls == [c]
+
+
+def _hot_path_records(c):
+    """jacobian's, closed_form_focal's and classify's records for ``c``,
+    with the class each must be an instance of, nested records included."""
+    summary = jacobian(c)
+    out = [(summary, JacobianSummary)]
+    result = classify(c)
+    out.append((result, CenterClassification))
+    if result.focal is not None:
+        out += [(result.focal, FocalValues), (closed_form_focal(c), FocalValues)]
+        out.append((closed_form_focal(c, summary=summary), FocalValues))
+    return result, out
+
+
+@pytest.mark.parametrize("c, outcome", CLASSIFY_RETURNS.values(), ids=CLASSIFY_RETURNS.keys())
+def test_hot_path_builds_records_as_their_constructors_would(monkeypatch, c, outcome):
+    # classify, jacobian and closed_form_focal build their records through
+    # tuple.__new__, never through the slower __new__ of the class; each
+    # record must still be the object that the class would build
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError(f"{cls.__name__} built through its class")
+
+    with monkeypatch.context() as patch:
+        for cls in (JacobianSummary, FocalValues, CenterClassification):
+            patch.setattr(cls, "__new__", refuse)
+        result, records = _hot_path_records(c)
+    assert result.verdict is outcome
+    assert (result.focal is None) is (outcome in (Verdict.DEGENERATE_DET_ZERO, Verdict.NOT_ELLIPTIC))
+    for record, cls in records:
+        assert type(record) is cls
+        assert record == cls(*record)
+        assert record._asdict() == dict(zip(cls._fields, record))
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is cls and back == record
 
 
 def _focal_bits(fv):
@@ -646,7 +694,14 @@ def _enum_member_reads(fn):
 
 @pytest.mark.parametrize(
     "fn",
-    [classify, jacobian, closed_form_focal, focal._require_elliptic],
+    [
+        classify,
+        jacobian,
+        closed_form_focal,
+        focal._require_elliptic,
+        conserved._term_value,
+        conserved._term_gradient,
+    ],
     ids=lambda fn: fn.__name__,
 )
 def test_hot_path_reads_no_enum_member_through_its_class(fn):
@@ -657,11 +712,12 @@ def test_hot_path_reads_no_enum_member_through_its_class(fn):
 
 def test_enum_member_constants_are_their_namesakes():
     # the hot paths' member constants are unpacked from their enums in
-    # definition order; each must be the member it is named after
-    seen = 0
-    for module in (model, focal, classifier):
+    # definition order; each must be the member it is named after, and each
+    # module with a hot path holds some
+    for module in (model, focal, classifier, conserved):
+        seen = 0
         for name, value in vars(module).items():
             if name.startswith("_") and isinstance(value, enum.Enum):
                 assert value.name == name[1:], (module.__name__, name)
                 seen += 1
-    assert seen
+        assert seen, module.__name__
