@@ -12,9 +12,9 @@ are deliberate rather than generic:
   rotation period, which ties conserved-quantity drift to roughly
   relTol**2.5 and keeps tolerance halving an honest accuracy knob.
 
-A return map cuts the orbit on one section, the line y = 1.  Its
-crossings are located on the cubic Hermite interpolant of the
-bracketing step and then polished by Newton iterations that re-run the
+A return map cuts the orbit on one section, the line y = 1.  It counts
+the crossing against the return direction and polishes only the return:
+Newton iterations, seeded by the secant of the crossing step, re-run the
 loop's stage block on a substep, so the reported crossing lies on the
 numerical orbit itself.
 
@@ -122,7 +122,13 @@ class Trajectory(NamedTuple):
 
 
 class ReturnRecord(NamedTuple):
-    """One full turn of the return map on the section through (1, 1)."""
+    """One full turn of the return map on the section through (1, 1).
+
+    ``crossings`` is 2 on a first return of the flow: on y = 1 the sign
+    of dy/dt = K(1 - x**a3) is fixed on each side of x = 1, and a3 = 0 is
+    refused, so an orbit from x0 > 1 crosses once at x < 1 and returns
+    at x > 1.
+    """
 
     start_x: float
     return_x: float
@@ -200,12 +206,13 @@ def _drive(
 
     ``section`` is (direction, t_min) for the section y = 1: a crossing
     after ``t_min`` where dy/dt has the sign of ``direction`` is the
-    return.  A step that crosses y = 1 puts the loop into its polish
-    state: ``_locate_crossing`` finds the crossing on the step's Hermite
-    interpolant, and up to six Newton iterations re-run the same stage
-    block from the step's start with the substep ``dt``, so the reported
-    crossing lies on the numerical orbit.  A failed substep ends the
-    polish on the last good one.
+    return.  A step across y = 1 against ``direction``, read from its two
+    ends, only counts a crossing.  One in ``direction`` puts the loop into
+    its polish state: from the secant seed dt = h (1 - y) / (y1 - y), up
+    to six Newton iterations re-run the stage block from the step's start
+    with the substep ``dt``, so the reported crossing lies on the
+    numerical orbit.  A failed substep ends the polish on the last good
+    one.
 
     The start, the horizon and the tolerance are taken as built-in
     floats, as the parameters are, so no numpy scalar reaches the
@@ -252,7 +259,6 @@ def _drive(
     polish = 0
     if section is not None:
         direction, t_min = section
-        g0 = y - 1.0
 
     # the per-step path spells max/min as comparisons that pick the same
     # floats; x, x1, y and y1 are positive, so the scales need no abs
@@ -375,13 +381,12 @@ def _drive(
                 if h_next > h_cap:
                     h_next = h_cap
 
-            if section is not None:
-                g1 = y1 - 1.0
-                crossed = (g0 > 0.0 > g1) or (g0 < 0.0 < g1) or (g1 == 0.0 and g0 != 0.0)
-                g0 = g1
-                if crossed and t + h > t_min:
+            if section is not None and ((y < 1.0 <= y1) or (y > 1.0 >= y1)) and t + h > t_min:
+                if (y < y1) != (direction > 0.0):
+                    crossings += 1
+                else:
                     step_end = x1, y1, fx1, fy1
-                    dt = _locate_crossing(y, fy, y1, fy1, h)
+                    dt = h * (1.0 - y) / (y1 - y)
                     xr, fr = x1, fy1
                     polish = 6
                     continue
@@ -397,33 +402,6 @@ def _drive(
         h = h_next
 
     return reason, hit, (n_acc, n_rej), (times, pts), (t, x, y)
-
-
-def _locate_crossing(p0: float, d0: float, p1: float, d1: float, h: float) -> float:
-    """Time into a step of size ``h`` at which the cubic Hermite
-    interpolant of a coordinate crosses 1, by bisection; ``p0``, ``d0``
-    and ``p1``, ``d1`` are the coordinate and its derivative at the
-    step's two ends.  ``_drive`` polishes the result on the orbit."""
-    lo, hi = 0.0, 1.0
-    glo = p0 - 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        t2 = mid * mid
-        t3 = t2 * mid
-        gm = (
-            (2.0 * t3 - 3.0 * t2 + 1.0) * p0
-            + (t3 - 2.0 * t2 + mid) * h * d0
-            + (-2.0 * t3 + 3.0 * t2) * p1
-            + (t3 - t2) * h * d1
-        ) - 1.0
-        if gm == 0.0:
-            lo = hi = mid
-            break
-        if (glo > 0.0) == (gm > 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) * h
 
 
 def integrate(

@@ -437,11 +437,11 @@ def test_argument_fuzz_never_crashes(capsys):
     [
         (
             ["cycles", "--a1", "0.98", "--b1", "2", "--a3", "1", "--b3", "1", "--K", "0.98"],
-            "ceb2a8631fc795829d0aa06543d94ef74ad6bb4ae6aeae03085e2bc5a2c3ab27",
+            "f7721bf1f49836d2a3cf41db8e37ecef06c978d54406f43b4ef792799edb5a62",
         ),
         (
             ["bautin", "--b1", "-2", "--a3", "-3", "--dK", "0.02"],
-            "26a529076b65774de32d1b081c812a459a029cdb28df073f100d067a5ba9339e",
+            "b001c53468cafe066e5969b100a7992f835a4636f7df9c8bede4c4261e945f19",
         ),
     ],
     ids=["cycles", "bautin"],
@@ -505,7 +505,7 @@ _SIMULATE_ERR = "termination = TimeLimit  accepted = 101  rejected = 0\n"
         ),
         pytest.param(
             ["poincare", "--a1", "1", "--b1", "2", "--a3", "1", "--b3", "1", "--K", "1", "--x0", "1.05"],
-            0, "19c6f80f7d946aa3afffffa8da56ee49b76f11bf71831f17d1c0826f6d05d953", "",
+            0, "be1049d2b3209f66bfbfde29c9a1ed70b9b26f7b2ace8bdba9705ebf8007f459", "",
             id="poincare",
         ),
         pytest.param(
