@@ -16,23 +16,26 @@ A return map cuts the orbit on one section, the line y = 1.  It counts
 the crossing against the return direction and polishes only the return:
 Newton iterations, seeded by the secant of the crossing step, re-run the
 loop's stage block on a substep, so the reported crossing lies on the
-numerical orbit itself.
+numerical orbit itself.  Each map also reports an error bound, the sum
+of its steps' embedded error estimates.
 
-Cycle search scans the displacement over radii and bisects each sign
-change on the scan map while the midpoint's displacement stays beyond
-the noise floor: there the scan map has the sign of the refinement map,
-so only a bracket end under the floor is mapped at the refinement
-tolerance.  Brent's method refines the narrowed bracket and stops at
-that same tolerance: the root of a return map at relTol is only as good
-as the map, so iterating below relTol buys return maps, not accuracy.
-The Bautin construction takes its trace perturbation from the
-generalized-Hopf normal form and keeps the return-map scan as the
-certificate of the two-cycle shape.
+Cycle search scans the displacement over radii.  Each scan value is
+first mapped at a loose tolerance and kept when it clears both its own
+error bound and the noise floor; otherwise it is re-mapped at the sign
+tolerance.  Each sign change is bisected on scan values while the
+midpoint's displacement stays beyond the noise floor: there the scan
+value has the sign of the refinement map, so only a bracket end under
+the floor is mapped at the refinement tolerance.  Brent's method refines
+the narrowed bracket and stops at that same tolerance: the root of a
+return map at relTol is only as good as the map, so iterating below
+relTol buys return maps, not accuracy.  The Bautin construction takes
+its trace perturbation from the generalized-Hopf normal form and keeps
+the return-map scan as the certificate of the two-cycle shape.
 
 Each cycle-layer setting with one value in use is a module constant:
-the scan and refinement tolerances, the return map's period and step
-budgets and the Bautin scan window.  Callers choose a scan's radii, the
-rel_tol of a single map or trajectory, and a trajectory's length and
+the scan, sign and refinement tolerances, the return map's period and
+step budgets and the Bautin scan window.  Callers choose a scan's radii,
+the rel_tol of a single map or trajectory, and a trajectory's length and
 step budget.
 """
 
@@ -85,16 +88,22 @@ _ESCAPE_LOW = 1e-4
 _ESCAPE_HIGH = 1e4
 
 #: scan sign changes with both displacements under this are integration
-#: noise, and a scan displacement beyond it has the sign of the refinement
-#: map: the two maps differ by about 1e-9, and by up to 3.6e-8 on orbits
-#: of radius 1.1 to 1.5
+#: noise, and a scan value beyond it has the sign of the refinement map:
+#: a map at _SIGN_REL_TOL differs from it by about 1e-9, and by up to
+#: 3.6e-8 on orbits of radius 1.1 to 1.5
 _NOISE_FLOOR = 1e-7
-#: return-map tolerances of a cycle scan and of the root refinement.
-#: _REFINE_REL_TOL is also Brent's xtol: mapping at 1e-11 instead moves a
-#: refined root by a median 4.8e-11 and at most 2.1e-10 (20 seeded
-#: near-Bautin systems), so a smaller xtol spends return maps inside the
-#: maps' own noise
-_SCAN_REL_TOL = 1e-8
+#: return-map tolerances of a cycle scan.  A scan value is first mapped at
+#: _SCAN_REL_TOL and kept when it clears its own error bound and
+#: _NOISE_FLOOR; otherwise it is re-mapped at _SIGN_REL_TOL.  Against
+#: 1e-11 maps a 1e-7 map's error reached 0.33 of its bound (a 1e-6 map's
+#: 2.7), and no kept 1e-7 value had the wrong sign (84 near-Bautin
+#: systems at 30 radii)
+_SCAN_REL_TOL = 1e-7
+_SIGN_REL_TOL = 1e-8
+#: return-map tolerance of the root refinement, also Brent's xtol: mapping
+#: at 1e-11 instead moves a refined root by a median 4.8e-11 and at most
+#: 2.1e-10 (20 seeded near-Bautin systems), so a smaller xtol spends
+#: return maps inside the maps' own noise
 _REFINE_REL_TOL = 1e-10
 #: the radius window and scan length of both Bautin stages
 _BAUTIN_SCAN = (0.02, 1.5, 30)
@@ -128,6 +137,13 @@ class ReturnRecord(NamedTuple):
     of dy/dt = K(1 - x**a3) is fixed on each side of x = 1, and a3 = 0 is
     refused, so an orbit from x0 > 1 crosses once at x < 1 and returns
     at x > 1.
+
+    ``error_bound`` is the sum of the embedded error estimates of the
+    map's steps: a bound on the truncation error of ``return_x`` that
+    adds up the local errors without their growth along the orbit.  It
+    does not cover round-off, which an embedded pair cannot see: on
+    family I centers with |b1| >= 1e8 the actual error is round-off and
+    the bound reads 30 to 140 times low.
     """
 
     start_x: float
@@ -135,6 +151,7 @@ class ReturnRecord(NamedTuple):
     displacement: float
     return_time: float
     crossings: int
+    error_bound: float
 
 
 class CycleRecord(NamedTuple):
@@ -217,9 +234,11 @@ def _drive(
     The start, the horizon and the tolerance are taken as built-in
     floats, as the parameters are, so no numpy scalar reaches the
     stepper.  Returns (reason, hit, (accepted, rejected), (times,
-    points), last (t, x, y)); ``hit`` is the return's (t, x, crossings)
-    and None unless the section was reached, and the samples are empty
-    unless ``record``.
+    points), last (t, x, y)); ``hit`` is the return's (t, x, crossings,
+    err_sum) and None unless the section was reached, and the samples
+    are empty unless ``record``.  ``err_sum`` adds up the embedded error
+    estimate sqrt(ex**2 + ey**2) of every step that passes the error
+    test, the return's own step included.
     """
     if not 1e-13 <= rel_tol <= 1e-3:
         raise ValueError(f"rel_tol must lie in [1e-13, 1e-3], got {rel_tol}")
@@ -249,6 +268,7 @@ def _drive(
     n_acc = 0
     n_rej = 0
     crossings = 0
+    err_sum = 0.0
     times = [t] if record else []
     pts = [(x, y)] if record else []
     hit = None
@@ -352,7 +372,7 @@ def _drive(
             if hit_t > t_min:
                 crossings += 1
                 if math.copysign(1.0, fr) == direction:
-                    hit = hit_t, xr, crossings
+                    hit = hit_t, xr, crossings, err_sum
                     reason = TerminationReason.SECTION_RETURN
                     break
             x1, y1, fx1, fy1 = step_end
@@ -380,6 +400,7 @@ def _drive(
                 h_next = h * (fac if fac < 5.0 else 5.0)
                 if h_next > h_cap:
                     h_next = h_cap
+            err_sum += sqrt(ex * ex + ey * ey)
 
             if section is not None and ((y < 1.0 <= y1) or (y > 1.0 >= y1)) and t + h > t_min:
                 if (y < y1) != (direction > 0.0):
@@ -475,13 +496,14 @@ def poincare_return(
             f"orbit from in-section coordinate {x0} did not return "
             f"({reason.value}; last state t={last[0]:.6g}, x={last[1]:.6g}, y={last[2]:.6g})"
         )
-    return_time, return_x, crossings = hit
+    return_time, return_x, crossings, error_bound = hit
     return ReturnRecord(
         start_x=x0,
         return_x=return_x,
         displacement=return_x - x0,
         return_time=return_time,
         crossings=crossings,
+        error_bound=error_bound,
     )
 
 
@@ -559,13 +581,32 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return out
 
 
+def _scan_value(c: CanonicalParams, r: float) -> float:
+    """Displacement at radius ``r`` for the cycle scan: the map at
+    ``_SCAN_REL_TOL`` where |d| exceeds both its ``error_bound`` and
+    ``_NOISE_FLOOR``, else the map at ``_SIGN_REL_TOL``.
+
+    The re-map also answers when the first map raises NoReturn or
+    PreconditionViolated; its own raise is the caller's.
+    """
+    try:
+        rec = poincare_return(c, 1.0 + r, _SCAN_REL_TOL)
+    except (NoReturn, PreconditionViolated):
+        pass
+    else:
+        d = rec.displacement
+        if abs(d) > rec.error_bound and abs(d) > _NOISE_FLOOR:
+            return d
+    return section_displacement(c, r, _SIGN_REL_TOL)
+
+
 def _scan(c: CanonicalParams, radii: list[float]) -> list[float]:
-    """Displacement at each radius at ``_SCAN_REL_TOL``; NaN where the
-    orbit does not return."""
+    """``_scan_value`` at each radius; NaN where the orbit does not
+    return."""
     disp = []
     for r in radii:
         try:
-            disp.append(section_displacement(c, r, _SCAN_REL_TOL))
+            disp.append(_scan_value(c, r))
         except (NoReturn, PreconditionViolated):
             disp.append(math.nan)
     return disp
@@ -576,7 +617,7 @@ def _brackets(c: CanonicalParams, radii: list[float], disp: list[float]):
     that clears ``_NOISE_FLOOR`` and that holds at ``_REFINE_REL_TOL``.
 
     A scan value beyond the floor has the sign of the refinement map, so
-    each bracket is bisected on the scan map while the midpoint stays
+    each bracket is bisected on ``_scan_value`` while the midpoint stays
     beyond the floor, and only an end whose scan value is under the floor
     is mapped at ``_REFINE_REL_TOL``.
     """
@@ -593,7 +634,7 @@ def _brackets(c: CanonicalParams, radii: list[float], disp: list[float]):
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 break
-            d = section_displacement(c, mid, _SCAN_REL_TOL)
+            d = _scan_value(c, mid)
             if abs(d) <= _NOISE_FLOOR:
                 break
             if (d > 0.0) == (f_lo > 0.0):
@@ -615,11 +656,13 @@ def detect_limit_cycles(
     r_max: float,
     n_scan: int,
 ) -> LimitCycleReport:
-    """Scan the displacement over log-spaced radii at ``_SCAN_REL_TOL`` and
+    """Scan the displacement over log-spaced radii with ``_scan_value`` and
     refine each sign change to a periodic orbit at ``_REFINE_REL_TOL``.
 
-    Each sign change is first bisected on scan maps while their
-    displacement stays beyond ``_NOISE_FLOOR``.  Brent then maps at
+    A scan value is mapped at ``_SCAN_REL_TOL`` and kept when it clears
+    its error bound and ``_NOISE_FLOOR``, or else re-mapped at
+    ``_SIGN_REL_TOL``.  Each sign change is first bisected on scan values
+    while they stay beyond ``_NOISE_FLOOR``.  Brent then maps at
     ``_REFINE_REL_TOL`` and stops once its bracket is within
     ``_REFINE_REL_TOL``, the accuracy of those maps, so a radius is
     refined to about that tolerance, not below it.

@@ -304,6 +304,7 @@ def test_poincare_record_output(capsys):
     assert "start_x = 1.05" in out
     assert "crossings = 2" in out
     assert "displacement = " in out
+    assert "\nerror_bound = " in out
 
 
 def test_cycles_output(capsys):
@@ -505,7 +506,7 @@ _SIMULATE_ERR = "termination = TimeLimit  accepted = 101  rejected = 0\n"
         ),
         pytest.param(
             ["poincare", "--a1", "1", "--b1", "2", "--a3", "1", "--b3", "1", "--K", "1", "--x0", "1.05"],
-            0, "be1049d2b3209f66bfbfde29c9a1ed70b9b26f7b2ace8bdba9705ebf8007f459", "",
+            0, "b86d6f2ea0b2ddab528d7541f51efa704aa1fe3549cc7adb84ee1119c299ecf8", "",
             id="poincare",
         ),
         pytest.param(

@@ -363,7 +363,7 @@ def test_linspace_matches_numpy_bit_for_bit():
 def test_poincare_return_of_numpy_scalars_is_built_in_floats():
     c = CanonicalParams(*map(np.float64, (1.0, 2.0, 1.0, 1.0, 1.0)))
     rec = poincare_return(c, np.float64(1.2), np.float64(1e-8))
-    assert [type(v) for v in tuple(rec)] == [float, float, float, float, int]
+    assert [type(v) for v in tuple(rec)] == [float, float, float, float, int, float]
     assert rec == poincare_return(WEAK_FOCUS, 1.2, 1e-8)
 
 
@@ -385,6 +385,7 @@ def test_format_return_record_text(capsys):
     assert "start_x = 1.3" in text
     assert "displacement = " in text
     assert "crossings = 2" in text
+    assert "\nerror_bound = " in text
 
 
 def test_format_cycle_report_text(capsys):
@@ -516,35 +517,65 @@ def test_bautin_golden_bits(bautin_runs):
 
 def test_bautin_return_map_budget(bautin_runs):
     # two scans and their refinements; eps is predicted, not searched for.
-    # Each bracket is narrowed on scan maps, so refinement maps go only to
-    # Brent and to ends the scan cannot sign.  Confirming every bracket end
-    # at the refinement tolerance took 22 and 23 refinement maps, 60 scan
-    # maps and 39,785 and 31,505 accepted steps
-    budget = {  # base: (refinement maps, most scan maps, most accepted steps)
-        BAUTIN_BASES[0]: (13, 90, 31_100),
-        BAUTIN_BASES[1]: (11, 94, 22_200),
+    # Each bracket is narrowed on scan values, so refinement maps go only
+    # to Brent and to ends the scan cannot sign.  Confirming every bracket
+    # end at the refinement tolerance took 22 and 23 refinement maps, 60
+    # scan maps and 39,785 and 31,505 accepted steps; scanning at 1e-8
+    # alone took 31,089 and 22,159 accepted steps
+    budget = {  # base: (refinement maps, most scan maps, most re-maps, most accepted steps)
+        BAUTIN_BASES[0]: (13, 90, 18, 26_200),
+        BAUTIN_BASES[1]: (11, 94, 15, 17_400),
     }
+    tols = {dynamics._SCAN_REL_TOL, dynamics._SIGN_REL_TOL, dynamics._REFINE_REL_TOL}
     for base, (_, maps) in bautin_runs.items():
-        refine, scan_cap, step_cap = budget[base]
+        refine, scan_cap, remap_cap, step_cap = budget[base]
         per_tol = Counter(tol for tol, _ in maps)
-        assert set(per_tol) == {dynamics._SCAN_REL_TOL, dynamics._REFINE_REL_TOL}, base
+        assert set(per_tol) == tols, base
         assert per_tol[dynamics._REFINE_REL_TOL] == refine, base
         assert per_tol[dynamics._SCAN_REL_TOL] <= scan_cap, base
+        assert per_tol[dynamics._SIGN_REL_TOL] <= remap_cap, base
         assert sum(steps for _, steps in maps) <= step_cap, base
 
 
 def test_scan_signs_beyond_the_noise_floor_hold_at_the_refinement_tolerance(
     monkeypatch, bautin_runs
 ):
-    # the premise of narrowing a bracket on scan maps: every bracket end,
-    # of the scan or of the narrowing, whose scan displacement is beyond
-    # _NOISE_FLOOR has the sign of the refinement map, and the two maps
-    # differ by at most a quarter of that displacement (the seeded systems
-    # keep over 30x; the large orbits of the first base, r = 1.1 to 1.5,
-    # differ by up to 3.6e-8, which leaves 5x at a narrowed end)
+    # the premises of narrowing a bracket on scan values:
+    # - every bracket end, of the scan or of the narrowing, whose
+    #   _SIGN_REL_TOL displacement is beyond _NOISE_FLOOR has the sign of
+    #   the refinement map, and the two maps differ by at most a quarter of
+    #   that displacement (the seeded systems keep over 30x; the large
+    #   orbits of the first base, r = 1.1 to 1.5, differ by up to 3.6e-8,
+    #   which leaves 5x at a narrowed end);
+    # - a _SCAN_REL_TOL map's error_bound covers its distance to the
+    #   refinement map at every scan radius, and every bracket end whose
+    #   _SCAN_REL_TOL value _scan_value keeps has the refinement sign
     systems = helpers.near_bautin_draws(2020, 8)
     for result, _ in bautin_runs.values():
         systems += [result.stage1_params, result.stage2_params]
+    refined_at = {}
+
+    def refined(c, r):
+        if (c, r) not in refined_at:
+            refined_at[c, r] = section_displacement(c, r, dynamics._REFINE_REL_TOL)
+        return refined_at[c, r]
+
+    def first_map(c, r):
+        rec = poincare_return(c, 1.0 + r, dynamics._SCAN_REL_TOL)
+        kept = abs(rec.displacement) > max(rec.error_bound, dynamics._NOISE_FLOOR)
+        return rec, kept
+
+    radii = dynamics._linspace(*(math.log10(v) for v in dynamics._BAUTIN_SCAN[:2]), 30)
+    radii = [10.0**v for v in radii]
+    radii[0], radii[-1] = dynamics._BAUTIN_SCAN[:2]
+    bounded = 0
+    for c in systems:
+        for r in radii:
+            rec, _ = first_map(c, r)
+            error = abs(rec.displacement - refined(c, r))
+            assert error <= rec.error_bound, (c, r, rec, error)
+            bounded += 1
+    assert bounded == 360, bounded
     ends = set()
     inner = dynamics._brackets
 
@@ -559,16 +590,22 @@ def test_scan_signs_beyond_the_noise_floor_hold_at_the_refinement_tolerance(
     monkeypatch.setattr(dynamics, "_brackets", spy)
     for c in systems:
         assert detect_limit_cycles(c, *dynamics._BAUTIN_SCAN).cycles
-    trusted = 0
+    trusted = kept = 0
     for c, r in ends:
-        scan = section_displacement(c, r, dynamics._SCAN_REL_TOL)
+        rec, first_kept = first_map(c, r)
+        if first_kept:
+            d = refined(c, r)
+            assert (rec.displacement > 0.0) == (d > 0.0), (c, r, rec, d)
+            kept += 1
+        scan = section_displacement(c, r, dynamics._SIGN_REL_TOL)
         if abs(scan) <= dynamics._NOISE_FLOOR:
             continue
-        refined = section_displacement(c, r, dynamics._REFINE_REL_TOL)
-        assert (scan > 0.0) == (refined > 0.0), (c, r, scan, refined)
-        assert 4.0 * abs(scan - refined) <= abs(scan), (c, r, scan, refined)
+        d = refined(c, r)
+        assert (scan > 0.0) == (d > 0.0), (c, r, scan, d)
+        assert 4.0 * abs(scan - d) <= abs(scan), (c, r, scan, d)
         trusted += 1
     assert trusted >= 60, trusted
+    assert kept >= 30, kept
 
 
 def _refined_against_reference(monkeypatch, c, radii, report) -> list[float]:
@@ -630,7 +667,8 @@ def test_bautin_bad_delta_k_is_bad_base(delta_k):
 
 def test_single_cycle_golden_bits():
     rep = detect_limit_cycles(CanonicalParams(0.98, 2.0, 1.0, 1.0, 0.98), 0.2, 1.4, 15)
-    assert _cycle_hex(rep) == [("0x1.e4052af71bf90p-1", "-0x1.1cc0000000000p-42", "Stable")]
+    # captured when scan values came to be mapped at 1e-7 first
+    assert _cycle_hex(rep) == [("0x1.e4052af709c1ap-1", "-0x1.f000000000000p-48", "Stable")]
 
 
 @pytest.mark.parametrize(
@@ -672,6 +710,32 @@ def test_scan_maps_a_bracket_end_at_the_refinement_tolerance(monkeypatch):
     refine = sum(tol == dynamics._REFINE_REL_TOL for _, _, tol in calls)
     assert (refine - sum(brent_maps), brent_maps) == (1, [8])
     assert _cycle_hex(report) == [("0x1.5285d0314c694p-3", "-0x1.0000000000000p-52", "Stable")]
+
+
+def test_scan_value_re_maps_what_its_first_map_cannot_vouch_for(monkeypatch):
+    # a first map beyond its bound and the floor is kept; one under its
+    # bound, or one that raises, gives way to the map at _SIGN_REL_TOL
+    c = CanonicalParams(0.98, 2.0, 1.0, 1.0, 0.98)
+    r = 0.4
+    first = poincare_return(c, 1.0 + r, dynamics._SCAN_REL_TOL)
+    assert abs(first.displacement) > max(first.error_bound, dynamics._NOISE_FLOOR)
+    assert dynamics._scan_value(c, r) == first.displacement
+    sign_map = section_displacement(c, r, dynamics._SIGN_REL_TOL)
+    assert sign_map != first.displacement
+    inner = dynamics.poincare_return
+
+    def loose_bound(c, x0, rel_tol):
+        rec = inner(c, x0, rel_tol)
+        return rec._replace(error_bound=math.inf) if rel_tol == dynamics._SCAN_REL_TOL else rec
+
+    def no_first_return(c, x0, rel_tol):
+        if rel_tol == dynamics._SCAN_REL_TOL:
+            raise NoReturn("first map")
+        return inner(c, x0, rel_tol)
+
+    for patched in (loose_bound, no_first_return):
+        monkeypatch.setattr(dynamics, "poincare_return", patched)
+        assert dynamics._scan_value(c, r) == sign_map, patched.__name__
 
 
 def test_bautin_stage2_shrinks_eps_when_the_half_fold_lacks_the_shape(monkeypatch):
