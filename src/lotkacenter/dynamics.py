@@ -22,13 +22,14 @@ of its steps' embedded error estimates.
 Cycle search scans the displacement over radii.  Each scan value is
 first mapped at a loose tolerance and kept when it clears both its own
 error bound and the noise floor; otherwise it is re-mapped at the sign
-tolerance.  Each sign change is bisected on scan values while the
-midpoint's displacement stays beyond the noise floor: there the scan
-value has the sign of the refinement map, so only a bracket end under
-the floor is mapped at the refinement tolerance.  Brent's method refines
-the narrowed bracket and stops at that same tolerance: the root of a
-return map at relTol is only as good as the map, so iterating below
-relTol buys return maps, not accuracy.  The Bautin construction takes
+tolerance.  A scan value beyond the noise floor has the sign of the
+refinement map, so only a bracket end under the floor is mapped at the
+refinement tolerance.  Brent's method finds the root of the sign maps in
+each bracket, and secant steps on refinement maps finish it.  They stop
+once a step falls under that tolerance: the root of a return map at
+relTol is only as good as the map, so iterating below relTol buys return
+maps, not accuracy.  Steps that do not settle hand over to Brent on
+refinement maps.  The Bautin construction takes
 its trace perturbation from the generalized-Hopf normal form and keeps
 the return-map scan as the certificate of the two-cycle shape.
 
@@ -88,9 +89,10 @@ _ESCAPE_LOW = 1e-4
 _ESCAPE_HIGH = 1e4
 
 #: scan sign changes with both displacements under this are integration
-#: noise, and a scan value beyond it has the sign of the refinement map:
-#: a map at _SIGN_REL_TOL differs from it by about 1e-9, and by up to
-#: 3.6e-8 on orbits of radius 1.1 to 1.5
+#: noise, and a scan value beyond it has the sign of the refinement map,
+#: so a bracket end beyond it needs no refinement map: a map at
+#: _SIGN_REL_TOL differs from that map by about 1e-9, and by up to 3.6e-8
+#: on orbits of radius 1.1 to 1.5
 _NOISE_FLOOR = 1e-7
 #: return-map tolerances of a cycle scan.  A scan value is first mapped at
 #: _SCAN_REL_TOL and kept when it clears its own error bound and
@@ -100,11 +102,21 @@ _NOISE_FLOOR = 1e-7
 #: systems at 30 radii)
 _SCAN_REL_TOL = 1e-7
 _SIGN_REL_TOL = 1e-8
-#: return-map tolerance of the root refinement, also Brent's xtol: mapping
-#: at 1e-11 instead moves a refined root by a median 4.8e-11 and at most
-#: 2.1e-10 (20 seeded near-Bautin systems), so a smaller xtol spends
-#: return maps inside the maps' own noise
+#: return-map tolerance of the root refinement; its secant steps stop
+#: once the next step is at most half of it.  Mapping at 1e-11 instead
+#: moves a refined root by a median 3.5e-11 and at most 7e-10, on small
+#: flat cycles (1,305 cycles of seeded near-Bautin systems), so smaller
+#: steps spend return maps inside the maps' own noise
 _REFINE_REL_TOL = 1e-10
+#: the first secant step takes the slope of the sign maps from a value
+#: more than this share of the radius from their root: closer values
+#: differ by little more than the maps' error, and the nearest one made 6%
+#: more refinement maps
+_SLOPE_SPAN = 1e-6
+#: secant steps before the refinement hands over to Brent; 4 hand over on
+#: 20 of those 1,305 cycles, all flat ones whose steps wander in the maps'
+#: round-off
+_SECANT_STEPS = 4
 #: the radius window and scan length of both Bautin stages
 _BAUTIN_SCAN = (0.02, 1.5, 30)
 
@@ -617,9 +629,9 @@ def _brackets(c: CanonicalParams, radii: list[float], disp: list[float]):
     that clears ``_NOISE_FLOOR`` and that holds at ``_REFINE_REL_TOL``.
 
     A scan value beyond the floor has the sign of the refinement map, so
-    each bracket is bisected on ``_scan_value`` while the midpoint stays
-    beyond the floor, and only an end whose scan value is under the floor
-    is mapped at ``_REFINE_REL_TOL``.
+    only an end whose scan value is under the floor is mapped at
+    ``_REFINE_REL_TOL``, and the bracket is dropped when that map
+    disagrees.
     """
     for i in range(len(radii) - 1):
         d0, d1 = disp[i], disp[i + 1]
@@ -630,17 +642,6 @@ def _brackets(c: CanonicalParams, radii: list[float], disp: list[float]):
         if max(abs(d0), abs(d1)) <= _NOISE_FLOOR:
             continue
         lo, hi, f_lo, f_hi = radii[i], radii[i + 1], d0, d1
-        while True:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            d = _scan_value(c, mid)
-            if abs(d) <= _NOISE_FLOOR:
-                break
-            if (d > 0.0) == (f_lo > 0.0):
-                lo, f_lo = mid, d
-            else:
-                hi, f_hi = mid, d
         if abs(f_lo) <= _NOISE_FLOOR:
             f_lo = section_displacement(c, lo, _REFINE_REL_TOL)
         if abs(f_hi) <= _NOISE_FLOOR:
@@ -648,6 +649,57 @@ def _brackets(c: CanonicalParams, radii: list[float], disp: list[float]):
         if f_lo == 0.0 or (f_lo > 0.0) == (f_hi > 0.0):
             continue
         yield lo, hi, f_lo, f_hi
+
+
+def _refine(c: CanonicalParams, lo: float, hi: float, f_lo: float, f_hi: float):
+    """Root ``(radius, displacement)`` of the refinement map in a bracket
+    from ``_brackets``, by secant steps from the sign maps' root.
+
+    Brent finds the root of the ``_SIGN_REL_TOL`` maps to their own
+    accuracy.  That root is mapped at ``_REFINE_REL_TOL``, and the first
+    step takes the sign maps' slope, from the nearest sign value more than
+    ``_SLOPE_SPAN`` of the radius away; each later step is the secant of
+    the last two refinement values.  A step of at most half of
+    ``_REFINE_REL_TOL`` ends the search on the last mapped radius.  A
+    step that would leave the bracket, two equal values or more than
+    ``_SECANT_STEPS`` steps hand over to Brent on refinement maps, over
+    the tightest sign change among the bracket ends and the refinement
+    values.
+    """
+    sign_values = [(lo, f_lo), (hi, f_hi)]
+
+    def sign_map(r: float) -> float:
+        d = section_displacement(c, r, _SIGN_REL_TOL)
+        sign_values.append((r, d))
+        return d
+
+    x, s = brentq(sign_map, lo, hi, f_lo, f_hi, xtol=_SIGN_REL_TOL)
+    # the nearest sign value more than _SLOPE_SPAN away, or else the nearest
+    px, ps = min(sign_values, key=lambda v: (abs(v[0] - x) <= _SLOPE_SPAN * x, abs(v[0] - x)))
+    dx, dd = x - px, s - ps
+    d = section_displacement(c, x, _REFINE_REL_TOL)
+    refined = [(lo, f_lo), (hi, f_hi), (x, d)]
+    for n in range(_SECANT_STEPS + 1):
+        if dd == 0.0:
+            break
+        step = -d * dx / dd
+        if abs(step) <= 0.5 * _REFINE_REL_TOL:
+            return x, d
+        if n == _SECANT_STEPS or not lo < x + step < hi:
+            break
+        x += step
+        d_prev, d = d, section_displacement(c, x, _REFINE_REL_TOL)
+        dx, dd = step, d - d_prev
+        refined.append((x, d))
+
+    refined.sort()
+    (a, f_a), (b, f_b) = min(
+        ((u, v) for u, v in zip(refined, refined[1:]) if (u[1] > 0.0) != (v[1] > 0.0)),
+        key=lambda uv: uv[1][0] - uv[0][0],
+    )
+    return brentq(
+        lambda r: section_displacement(c, r, _REFINE_REL_TOL), a, b, f_a, f_b, xtol=_REFINE_REL_TOL
+    )
 
 
 def detect_limit_cycles(
@@ -661,11 +713,12 @@ def detect_limit_cycles(
 
     A scan value is mapped at ``_SCAN_REL_TOL`` and kept when it clears
     its error bound and ``_NOISE_FLOOR``, or else re-mapped at
-    ``_SIGN_REL_TOL``.  Each sign change is first bisected on scan values
-    while they stay beyond ``_NOISE_FLOOR``.  Brent then maps at
-    ``_REFINE_REL_TOL`` and stops once its bracket is within
+    ``_SIGN_REL_TOL``.  ``_refine`` finds the root of the
+    ``_SIGN_REL_TOL`` maps in each sign change and takes secant steps on
+    ``_REFINE_REL_TOL`` maps from there.  It stops once a step is within
     ``_REFINE_REL_TOL``, the accuracy of those maps, so a radius is
-    refined to about that tolerance, not below it.
+    refined to about that tolerance, not below it, and its displacement
+    is the map at that radius.
 
     Sign changes whose endpoints both sit under ``_NOISE_FLOOR`` are
     treated as integration noise (an exact center wobbles at the drift
@@ -682,14 +735,7 @@ def detect_limit_cycles(
 
     cycles: list[CycleRecord] = []
     for lo, hi, f_lo, f_hi in _brackets(c, radii, disp):
-        root, d_root = brentq(
-            lambda r: section_displacement(c, r, _REFINE_REL_TOL),
-            lo,
-            hi,
-            f_lo,
-            f_hi,
-            xtol=_REFINE_REL_TOL,
-        )
+        root, d_root = _refine(c, lo, hi, f_lo, f_hi)
         # orbits just inside a stable cycle move outward
         stability = CycleStability.STABLE if f_lo > 0.0 else CycleStability.UNSTABLE
         cycles.append(CycleRecord(radius=root, displacement=d_root, stability=stability))

@@ -438,11 +438,11 @@ def test_argument_fuzz_never_crashes(capsys):
     [
         (
             ["cycles", "--a1", "0.98", "--b1", "2", "--a3", "1", "--b3", "1", "--K", "0.98"],
-            "f7721bf1f49836d2a3cf41db8e37ecef06c978d54406f43b4ef792799edb5a62",
+            "ec867c074656d288f0f45517c91bae59eb37803ac8cbf0c2e4dc8cf795ebdf77",
         ),
         (
             ["bautin", "--b1", "-2", "--a3", "-3", "--dK", "0.02"],
-            "b001c53468cafe066e5969b100a7992f835a4636f7df9c8bede4c4261e945f19",
+            "07a450a0834dcb6fcd55209caa3dd3c5a233e78c28b2e60a5a2c07381bfa8c52",
         ),
     ],
     ids=["cycles", "bautin"],

@@ -503,28 +503,28 @@ def _cycle_hex(report) -> list[tuple[str, str, str]]:
 
 def test_bautin_golden_bits(bautin_runs):
     # eps captured when it came to be read off the normal form, the cycles
-    # when the return crossing came to be polished from the step's secant
+    # when roots came to be finished by secant steps from the sign maps' root
     result, _ = bautin_runs[BAUTIN_BASES[0]]
     assert result.stage2_eps.hex() == "0x1.44b5031ba9994p-12"
     assert _cycle_hex(result.stage1_report) == [
-        ("0x1.52cc9187febebp+0", "0x1.d800000000000p-46", "Stable"),
+        ("0x1.52cc9187d08d7p+0", "0x1.5f80000000000p-42", "Stable"),
     ]
     assert _cycle_hex(result.stage2_report) == [
-        ("0x1.3bbe436f9fff6p-2", "-0x1.0000000000000p-48", "Unstable"),
-        ("0x1.20592157487cfp+0", "-0x1.9000000000000p-47", "Stable"),
+        ("0x1.3bbe436fbe632p-2", "0x1.9000000000000p-48", "Unstable"),
+        ("0x1.20592157465bcp+0", "-0x1.6000000000000p-47", "Stable"),
     ]
 
 
 def test_bautin_return_map_budget(bautin_runs):
     # two scans and their refinements; eps is predicted, not searched for.
-    # Each bracket is narrowed on scan values, so refinement maps go only
-    # to Brent and to ends the scan cannot sign.  Confirming every bracket
-    # end at the refinement tolerance took 22 and 23 refinement maps, 60
-    # scan maps and 39,785 and 31,505 accepted steps; scanning at 1e-8
-    # alone took 31,089 and 22,159 accepted steps
+    # Brent finds each root on sign maps and secant steps finish it, so
+    # refinement maps go only to those steps and to ends the scan cannot
+    # sign.  Narrowing each bracket on scan values and running Brent on
+    # refinement maps took 13 and 11 refinement maps, 90 and 94 scan maps
+    # and 26,144 and 17,387 accepted steps
     budget = {  # base: (refinement maps, most scan maps, most re-maps, most accepted steps)
-        BAUTIN_BASES[0]: (13, 90, 18, 26_200),
-        BAUTIN_BASES[1]: (11, 94, 15, 17_400),
+        BAUTIN_BASES[0]: (8, 60, 19, 16_700),
+        BAUTIN_BASES[1]: (7, 60, 14, 11_500),
     }
     tols = {dynamics._SCAN_REL_TOL, dynamics._SIGN_REL_TOL, dynamics._REFINE_REL_TOL}
     for base, (_, maps) in bautin_runs.items():
@@ -537,22 +537,41 @@ def test_bautin_return_map_budget(bautin_runs):
         assert sum(steps for _, steps in maps) <= step_cap, base
 
 
-def test_scan_signs_beyond_the_noise_floor_hold_at_the_refinement_tolerance(
-    monkeypatch, bautin_runs
-):
-    # the premises of narrowing a bracket on scan values:
-    # - every bracket end, of the scan or of the narrowing, whose
-    #   _SIGN_REL_TOL displacement is beyond _NOISE_FLOOR has the sign of
-    #   the refinement map, and the two maps differ by at most a quarter of
-    #   that displacement (the seeded systems keep over 30x; the large
-    #   orbits of the first base, r = 1.1 to 1.5, differ by up to 3.6e-8,
-    #   which leaves 5x at a narrowed end);
-    # - a _SCAN_REL_TOL map's error_bound covers its distance to the
-    #   refinement map at every scan radius, and every bracket end whose
-    #   _SCAN_REL_TOL value _scan_value keeps has the refinement sign
+@pytest.fixture(scope="module")
+def premise_runs(bautin_runs):
+    """The 12 systems of the refinement premises: eight seeded
+    near-Bautin systems and both stages of both Bautin bases, each with
+    its report over ``_BAUTIN_SCAN``, and the (system, radius) of every
+    scan end next to a sign change of those scans."""
     systems = helpers.near_bautin_draws(2020, 8)
     for result, _ in bautin_runs.values():
         systems += [result.stage1_params, result.stage2_params]
+    ends = set()
+    inner = dynamics._brackets
+
+    def spy(c, radii, disp):
+        for r0, r1, d0, d1 in zip(radii, radii[1:], disp, disp[1:]):
+            if d0 * d1 < 0.0:
+                ends.update({(c, r0), (c, r1)})
+        for bracket in inner(c, radii, disp):
+            assert {(c, bracket[0]), (c, bracket[1])} <= ends
+            yield bracket
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_brackets", spy)
+        reports = {c: detect_limit_cycles(c, *dynamics._BAUTIN_SCAN) for c in systems}
+    return reports, ends
+
+
+def test_scan_signs_beyond_the_noise_floor_hold_at_the_refinement_tolerance(premise_runs):
+    # the premises of refining a bracket from its scan ends:
+    # - every scan end whose _SIGN_REL_TOL displacement is beyond
+    #   _NOISE_FLOOR has the sign of the refinement map, and the two maps
+    #   differ by at most a quarter of that displacement;
+    # - a _SCAN_REL_TOL map's error_bound covers its distance to the
+    #   refinement map at every scan radius, and every scan end whose
+    #   _SCAN_REL_TOL value _scan_value keeps has the refinement sign
+    reports, ends = premise_runs
     refined_at = {}
 
     def refined(c, r):
@@ -569,27 +588,13 @@ def test_scan_signs_beyond_the_noise_floor_hold_at_the_refinement_tolerance(
     radii = [10.0**v for v in radii]
     radii[0], radii[-1] = dynamics._BAUTIN_SCAN[:2]
     bounded = 0
-    for c in systems:
+    for c in reports:
         for r in radii:
             rec, _ = first_map(c, r)
             error = abs(rec.displacement - refined(c, r))
             assert error <= rec.error_bound, (c, r, rec, error)
             bounded += 1
     assert bounded == 360, bounded
-    ends = set()
-    inner = dynamics._brackets
-
-    def spy(c, radii, disp):
-        for r0, r1, d0, d1 in zip(radii, radii[1:], disp, disp[1:]):
-            if d0 * d1 < 0.0:
-                ends.update({(c, r0), (c, r1)})
-        for bracket in inner(c, radii, disp):
-            ends.update({(c, bracket[0]), (c, bracket[1])})
-            yield bracket
-
-    monkeypatch.setattr(dynamics, "_brackets", spy)
-    for c in systems:
-        assert detect_limit_cycles(c, *dynamics._BAUTIN_SCAN).cycles
     trusted = kept = 0
     for c, r in ends:
         rec, first_kept = first_map(c, r)
@@ -604,8 +609,26 @@ def test_scan_signs_beyond_the_noise_floor_hold_at_the_refinement_tolerance(
         assert (scan > 0.0) == (d > 0.0), (c, r, scan, d)
         assert 4.0 * abs(scan - d) <= abs(scan), (c, r, scan, d)
         trusted += 1
-    assert trusted >= 60, trusted
+    assert trusted >= 32, trusted
     assert kept >= 30, kept
+
+
+def test_the_refinement_map_changes_sign_across_each_refined_root(premise_runs):
+    # each returned radius lies within _REFINE_REL_TOL of a sign change of
+    # the refinement map: that map takes opposite signs a tolerance away on
+    # either side of it
+    reports, _ = premise_runs
+    straddled = 0
+    for c, report in reports.items():
+        assert report.cycles, c
+        for cyc in report.cycles:
+            below, above = (
+                section_displacement(c, cyc.radius + dr, dynamics._REFINE_REL_TOL)
+                for dr in (-dynamics._REFINE_REL_TOL, dynamics._REFINE_REL_TOL)
+            )
+            assert (below > 0.0) != (above > 0.0), (c, cyc, below, above)
+            straddled += 1
+    assert straddled == 18, straddled
 
 
 def _refined_against_reference(monkeypatch, c, radii, report) -> list[float]:
@@ -667,8 +690,9 @@ def test_bautin_bad_delta_k_is_bad_base(delta_k):
 
 def test_single_cycle_golden_bits():
     rep = detect_limit_cycles(CanonicalParams(0.98, 2.0, 1.0, 1.0, 0.98), 0.2, 1.4, 15)
-    # captured when scan values came to be mapped at 1e-7 first
-    assert _cycle_hex(rep) == [("0x1.e4052af709c1ap-1", "-0x1.f000000000000p-48", "Stable")]
+    # captured when roots came to be finished by secant steps from the sign
+    # maps' root
+    assert _cycle_hex(rep) == [("0x1.e4052af715156p-1", "-0x1.7b80000000000p-43", "Stable")]
 
 
 @pytest.mark.parametrize(
@@ -688,10 +712,12 @@ def test_scan_maps_each_point_once(monkeypatch, c, radii):
 
 
 def test_scan_maps_a_bracket_end_at_the_refinement_tolerance(monkeypatch):
-    # a seeded near-Bautin system whose narrowing stops on an end under
-    # _NOISE_FLOOR: that end is the one refinement map Brent does not make.
-    # Brent's count follows the maps' round-off here: the displacement moves
-    # by 2.3e-16 per 2e-11 of radius, under the 1.7e-15 noise of one map
+    # a seeded near-Bautin system whose bracket has an end under
+    # _NOISE_FLOOR: that end is the one refinement map at a scan radius.
+    # Brent on sign maps makes 5 maps; the root, 4 secant steps and the one
+    # map of Brent's hand-over are the other refinement maps.  The steps
+    # wander because the displacement moves by 2.3e-16 per 2e-11 of radius
+    # here, under the 1.7e-15 noise of one map
     c = CanonicalParams(
         1.0006845742215416, -2.093228719126046, -2.762065970496456, 1.0, 1.0006845742215416
     )
@@ -702,14 +728,51 @@ def test_scan_maps_a_bracket_end_at_the_refinement_tolerance(monkeypatch):
     def counted(*args, **kwargs):
         before = len(calls)
         out = inner(*args, **kwargs)
-        brent_maps.append(len(calls) - before)
+        brent_maps.append((kwargs["xtol"], len(calls) - before))
         return out
 
     monkeypatch.setattr(dynamics, "brentq", counted)
     report = detect_limit_cycles(c, 0.02, 1.5, 30)
-    refine = sum(tol == dynamics._REFINE_REL_TOL for _, _, tol in calls)
-    assert (refine - sum(brent_maps), brent_maps) == (1, [8])
-    assert _cycle_hex(report) == [("0x1.5285d0314c694p-3", "-0x1.0000000000000p-52", "Stable")]
+    scan_x = {1.0 + r for r in report.scan_radii}
+    refine = [x0 for _, x0, tol in calls if tol == dynamics._REFINE_REL_TOL]
+    assert sum(x0 in scan_x for x0 in refine) == 1
+    assert len(refine) == 7
+    assert brent_maps == [(dynamics._SIGN_REL_TOL, 5), (dynamics._REFINE_REL_TOL, 1)]
+    assert _cycle_hex(report) == [("0x1.5285d031d71b8p-3", "0x1.0000000000000p-52", "Stable")]
+
+
+def test_secant_steps_past_the_cap_hand_over_to_brent(monkeypatch):
+    # system 6 of perfbench cycles seed 4: the steps to its small, flat
+    # inner cycle wander in the maps' round-off for _SECANT_STEPS steps,
+    # and Brent finishes the root on refinement maps; the outer cycle's
+    # steps settle on their own
+    c = CanonicalParams(
+        1.0027006038625466, -1.8847439603907201, -2.9959015406166034, 1.0, 1.0027053870966984
+    )
+    events = []
+    inner_map, inner_brent = dynamics.poincare_return, dynamics.brentq
+
+    def mapped(c, x0, rel_tol=1e-9):
+        events.append(rel_tol)
+        return inner_map(c, x0, rel_tol)
+
+    def brent(*args, **kwargs):
+        events.append(("call", kwargs["xtol"]))
+        out = inner_brent(*args, **kwargs)
+        events.append(("return", kwargs["xtol"]))
+        return out
+
+    monkeypatch.setattr(dynamics, "poincare_return", mapped)
+    monkeypatch.setattr(dynamics, "brentq", brent)
+    report = detect_limit_cycles(c, *dynamics._BAUTIN_SCAN)
+    sign, refine = dynamics._SIGN_REL_TOL, dynamics._REFINE_REL_TOL
+    calls = [e[1] for e in events if isinstance(e, tuple) and e[0] == "call"]
+    assert calls == [sign, refine, sign]
+    start, hand_over = events.index(("return", sign)), events.index(("call", refine))
+    assert events[start + 1 : hand_over] == [refine] * (1 + dynamics._SECANT_STEPS)
+    errors = _refined_against_reference(monkeypatch, c, dynamics._BAUTIN_SCAN, report)
+    assert len(errors) == 2
+    assert max(errors) <= 5e-10, errors
 
 
 def test_scan_value_re_maps_what_its_first_map_cannot_vouch_for(monkeypatch):
