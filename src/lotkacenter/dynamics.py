@@ -16,16 +16,17 @@ A return map cuts the orbit on one section, the line y = 1.  It counts
 the crossing against the return direction and polishes only the return:
 Newton iterations, seeded by the secant of the crossing step, re-run the
 loop's stage block on a substep, so the reported crossing lies on the
-numerical orbit itself.  Each map also reports an error bound, the sum
-of its steps' embedded error estimates.
+numerical orbit itself.  Each map also reports an error bound: its
+steps' embedded error estimates plus a round-off term.
 
-Cycle search scans the displacement over radii.  Each scan value is
-first mapped at a loose tolerance and kept when it clears both its own
-error bound and the noise floor; otherwise it is re-mapped at the sign
-tolerance.  A scan value beyond the noise floor has the sign of the
-refinement map, so only a bracket end under the floor is mapped at the
-refinement tolerance.  Brent's method finds the root of the sign maps in
-each bracket, and secant steps on refinement maps finish it.  They stop
+Cycle search scans the displacement over radii.  One rule trusts a
+sign: a map vouches for it when |displacement| exceeds the map's error
+bound.  A scan value is mapped at a loose tolerance, and re-mapped at
+the sign tolerance when that map does not vouch for it.  A bracket end
+the scan cannot vouch for is mapped once at the refinement tolerance,
+and a sign change stands only when both its ends are vouched for.
+Brent's method finds the root of the sign maps in each bracket, and
+secant steps on refinement maps finish it.  They stop
 once a step falls under that tolerance: the root of a return map at
 relTol is only as good as the map, so iterating below relTol buys return
 maps, not accuracy.  Steps that do not settle hand over to Brent on
@@ -88,15 +89,9 @@ _CAP_STATIC = 0.08
 _ESCAPE_LOW = 1e-4
 _ESCAPE_HIGH = 1e4
 
-#: scan sign changes with both displacements under this are integration
-#: noise, and a scan value beyond it has the sign of the refinement map,
-#: so a bracket end beyond it needs no refinement map: a map at
-#: _SIGN_REL_TOL differs from that map by about 1e-9, and by up to 3.6e-8
-#: on orbits of radius 1.1 to 1.5
-_NOISE_FLOOR = 1e-7
 #: return-map tolerances of a cycle scan.  A scan value is first mapped at
-#: _SCAN_REL_TOL and kept when it clears its own error bound and
-#: _NOISE_FLOOR; otherwise it is re-mapped at _SIGN_REL_TOL.  Against
+#: _SCAN_REL_TOL and kept when it clears its own error bound; otherwise it
+#: is re-mapped at _SIGN_REL_TOL.  Against
 #: 1e-11 maps a 1e-7 map's error reached 0.33 of its bound (a 1e-6 map's
 #: 2.7), and no kept 1e-7 value had the wrong sign (84 near-Bautin
 #: systems at 30 radii)
@@ -150,12 +145,14 @@ class ReturnRecord(NamedTuple):
     refused, so an orbit from x0 > 1 crosses once at x < 1 and returns
     at x > 1.
 
-    ``error_bound`` is the sum of the embedded error estimates of the
-    map's steps: a bound on the truncation error of ``return_x`` that
-    adds up the local errors without their growth along the orbit.  It
-    does not cover round-off, which an embedded pair cannot see: on
-    family I centers with |b1| >= 1e8 the actual error is round-off and
-    the bound reads 30 to 140 times low.
+    ``error_bound`` bounds the error of ``return_x``: the sum of the
+    embedded error estimates of the map's steps (local truncation errors,
+    without their growth along the orbit) plus the round-off eps n (1 +
+    w t) x that an embedded pair cannot see.  Each of the n accepted
+    steps rounds x by eps x, and its rounding of y moves the rate of x by
+    up to w eps x, w = |a1| + |b1| + |a3| + |b3|, for at most the return
+    time t; x = ``return_x``.  A return within ``error_bound`` of x = 1
+    cannot be told from (1, 1) and is NoReturn.
     """
 
     start_x: float
@@ -466,7 +463,8 @@ def poincare_return(
     """First return to the section y = 1 on the start side of (1, 1).
 
     ``x0`` is the start's x on the section and must exceed 1.  The orbit
-    gets ``_PERIODS_BUDGET`` characteristic periods to return.  A start
+    gets ``_PERIODS_BUDGET`` characteristic periods to return, and a
+    return within its ``error_bound`` of x = 1 is NoReturn.  A start
     where the field is not evaluable, or where dy/dt = 0 so the section
     is not transversal, raises PreconditionViolated.  At a3 = 0 the line
     y = 1 is invariant, since dy/dt = K(1 - y**b3) vanishes on it: no
@@ -500,7 +498,7 @@ def poincare_return(
         )
     t_char = _char_period(summary.determinant)
     section = math.copysign(1.0, fy), 1e-8 * t_char
-    reason, hit, _, _, last = _drive(
+    reason, hit, (n_acc, _), _, last = _drive(
         c, x0, 1.0, _PERIODS_BUDGET * t_char, rel_tol, t_char, section=section
     )
     if hit is None:
@@ -508,7 +506,13 @@ def poincare_return(
             f"orbit from in-section coordinate {x0} did not return "
             f"({reason.value}; last state t={last[0]:.6g}, x={last[1]:.6g}, y={last[2]:.6g})"
         )
-    return_time, return_x, crossings, error_bound = hit
+    return_time, return_x, crossings, err_sum = hit
+    weight = abs(c.a1) + abs(c.b1) + abs(c.a3) + abs(c.b3)
+    error_bound = err_sum + sys.float_info.epsilon * n_acc * (1.0 + weight * return_time) * return_x
+    if return_x - 1.0 <= error_bound:
+        raise NoReturn(
+            f"orbit from in-section coordinate {x0} returned within {error_bound:.3g} of x = 1"
+        )
     return ReturnRecord(
         start_x=x0,
         return_x=return_x,
@@ -593,62 +597,57 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return out
 
 
-def _scan_value(c: CanonicalParams, r: float) -> float:
-    """Displacement at radius ``r`` for the cycle scan: the map at
-    ``_SCAN_REL_TOL`` where |d| exceeds both its ``error_bound`` and
-    ``_NOISE_FLOOR``, else the map at ``_SIGN_REL_TOL``.
-
-    The re-map also answers when the first map raises NoReturn or
-    PreconditionViolated; its own raise is the caller's.
-    """
-    try:
-        rec = poincare_return(c, 1.0 + r, _SCAN_REL_TOL)
-    except (NoReturn, PreconditionViolated):
-        pass
-    else:
-        d = rec.displacement
-        if abs(d) > rec.error_bound and abs(d) > _NOISE_FLOOR:
-            return d
-    return section_displacement(c, r, _SIGN_REL_TOL)
+def _scan_value(c: CanonicalParams, r: float) -> ReturnRecord:
+    """Return map at radius ``r`` for the cycle scan: the ``_SCAN_REL_TOL``
+    map when it vouches for its sign (|d| > its ``error_bound``), else the
+    ``_SIGN_REL_TOL`` map.  Either map's raise is the caller's."""
+    rec = poincare_return(c, 1.0 + r, _SCAN_REL_TOL)
+    if abs(rec.displacement) > rec.error_bound:
+        return rec
+    return poincare_return(c, 1.0 + r, _SIGN_REL_TOL)
 
 
-def _scan(c: CanonicalParams, radii: list[float]) -> list[float]:
-    """``_scan_value`` at each radius; NaN where the orbit does not
-    return."""
-    disp = []
+def _scan(c: CanonicalParams, radii: list[float]) -> list[tuple[float, float]]:
+    """(displacement, error bound) of ``_scan_value`` at each radius;
+    (NaN, NaN) where the orbit does not return."""
+    scan = []
     for r in radii:
         try:
-            disp.append(_scan_value(c, r))
+            rec = _scan_value(c, r)
+            scan.append((rec.displacement, rec.error_bound))
         except (NoReturn, PreconditionViolated):
-            disp.append(math.nan)
-    return disp
+            scan.append((math.nan, math.nan))
+    return scan
 
 
-def _brackets(c: CanonicalParams, radii: list[float], disp: list[float]):
+def _brackets(c: CanonicalParams, radii: list[float], disp: tuple, bounds: tuple):
     """Yield ``(lo, hi, f_lo, f_hi)`` for each sign change of the scan
-    that clears ``_NOISE_FLOOR`` and that holds at ``_REFINE_REL_TOL``.
+    whose two ends are vouched for.
 
-    A scan value beyond the floor has the sign of the refinement map, so
-    only an end whose scan value is under the floor is mapped at
-    ``_REFINE_REL_TOL``, and the bracket is dropped when that map
-    disagrees.
+    An end is vouched for when |d| exceeds its map's bound.  An end that
+    its scan map cannot vouch for is mapped once at ``_REFINE_REL_TOL``
+    and vouched for by that map, or not at all; the bracket takes the
+    vouched values and is dropped unless they change sign.
     """
+    vouched = {}
+
+    def vouch(i: int) -> float:
+        if i not in vouched:
+            d = disp[i]
+            if not abs(d) > bounds[i]:
+                try:
+                    rec = poincare_return(c, 1.0 + radii[i], _REFINE_REL_TOL)
+                    d = rec.displacement if abs(rec.displacement) > rec.error_bound else math.nan
+                except (NoReturn, PreconditionViolated):
+                    d = math.nan
+            vouched[i] = d
+        return vouched[i]
+
     for i in range(len(radii) - 1):
-        d0, d1 = disp[i], disp[i + 1]
-        if not (math.isfinite(d0) and math.isfinite(d1)):
-            continue
-        if d0 == 0.0 or (d0 > 0.0) == (d1 > 0.0):
-            continue
-        if max(abs(d0), abs(d1)) <= _NOISE_FLOOR:
-            continue
-        lo, hi, f_lo, f_hi = radii[i], radii[i + 1], d0, d1
-        if abs(f_lo) <= _NOISE_FLOOR:
-            f_lo = section_displacement(c, lo, _REFINE_REL_TOL)
-        if abs(f_hi) <= _NOISE_FLOOR:
-            f_hi = section_displacement(c, hi, _REFINE_REL_TOL)
-        if f_lo == 0.0 or (f_lo > 0.0) == (f_hi > 0.0):
-            continue
-        yield lo, hi, f_lo, f_hi
+        if disp[i] * disp[i + 1] < 0.0:
+            f_lo, f_hi = vouch(i), vouch(i + 1)
+            if f_lo * f_hi < 0.0:
+                yield radii[i], radii[i + 1], f_lo, f_hi
 
 
 def _refine(c: CanonicalParams, lo: float, hi: float, f_lo: float, f_hi: float):
@@ -712,18 +711,19 @@ def detect_limit_cycles(
     refine each sign change to a periodic orbit at ``_REFINE_REL_TOL``.
 
     A scan value is mapped at ``_SCAN_REL_TOL`` and kept when it clears
-    its error bound and ``_NOISE_FLOOR``, or else re-mapped at
-    ``_SIGN_REL_TOL``.  ``_refine`` finds the root of the
+    its error bound, or else re-mapped at ``_SIGN_REL_TOL``; a sign
+    change counts only when ``_brackets`` finds both its ends vouched
+    for by a map's bound.  ``_refine`` finds the root of the
     ``_SIGN_REL_TOL`` maps in each sign change and takes secant steps on
     ``_REFINE_REL_TOL`` maps from there.  It stops once a step is within
     ``_REFINE_REL_TOL``, the accuracy of those maps, so a radius is
     refined to about that tolerance, not below it, and its displacement
     is the map at that radius.
 
-    Sign changes whose endpoints both sit under ``_NOISE_FLOOR`` are
-    treated as integration noise (an exact center wobbles at the drift
-    level).  Radii that fail to return contribute NaN and break the scan
-    into independently searched segments.
+    A sign change of values within their bounds, such as the drift of an
+    exact center, is integration noise and yields no cycle.  Radii that
+    fail to return contribute NaN and break the scan into independently
+    searched segments.
     """
     if not (0.0 < r_min < r_max < math.inf):
         raise ValueError(f"need 0 < r_min < r_max < inf, got {r_min}, {r_max}")
@@ -731,10 +731,10 @@ def detect_limit_cycles(
         raise ValueError(f"n_scan must be an integer of at least 2, got {n_scan!r}")
     radii = [10.0**v for v in _linspace(math.log10(r_min), math.log10(r_max), n_scan)]
     radii[0], radii[-1] = float(r_min), float(r_max)
-    disp = _scan(c, radii)
+    disp, bounds = zip(*_scan(c, radii))
 
     cycles: list[CycleRecord] = []
-    for lo, hi, f_lo, f_hi in _brackets(c, radii, disp):
+    for lo, hi, f_lo, f_hi in _brackets(c, radii, disp, bounds):
         root, d_root = _refine(c, lo, hi, f_lo, f_hi)
         # orbits just inside a stable cycle move outward
         stability = CycleStability.STABLE if f_lo > 0.0 else CycleStability.UNSTABLE
@@ -743,7 +743,7 @@ def detect_limit_cycles(
     return LimitCycleReport(
         cycles=tuple(cycles),
         scan_radii=tuple(radii),
-        scan_displacements=tuple(disp),
+        scan_displacements=disp,
     )
 
 

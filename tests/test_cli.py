@@ -506,7 +506,7 @@ _SIMULATE_ERR = "termination = TimeLimit  accepted = 101  rejected = 0\n"
         ),
         pytest.param(
             ["poincare", "--a1", "1", "--b1", "2", "--a3", "1", "--b3", "1", "--K", "1", "--x0", "1.05"],
-            0, "b86d6f2ea0b2ddab528d7541f51efa704aa1fe3549cc7adb84ee1119c299ecf8", "",
+            0, "66efc9e401d6b4082d705885c92e9b6e651f7e4a71bd03e117e21093d3cfc47d", "",
             id="poincare",
         ),
         pytest.param(

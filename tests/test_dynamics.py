@@ -237,6 +237,51 @@ def test_a_center_with_a_tiny_a3_returns(capsys):
     assert "crossings = 2" in capsys.readouterr().out
 
 
+def test_a_return_within_its_bound_of_the_equilibrium_is_no_return():
+    # a damped focus absorbs the orbit: at 1e-7 it "returned" at
+    # return_x - 1 = 1.49e-7, inside its error bound of 1.32e-4
+    c = CanonicalParams(
+        -14.614113652136766, -10.475821873051501, 75.47247605284161, 79.75172149931703,
+        30.415773627314394,
+    )
+    with pytest.raises(NoReturn, match=r"returned within 0\.000132 of x = 1"):
+        poincare_return(c, 1.00272, 1e-7)
+
+
+def _family_i_centers(seed: int, n: int) -> list[tuple[CanonicalParams, float, float]]:
+    """(center, radius, rel_tol) draws on family I (a1 = b3 = 0) with
+    |a3| <= 1e-9, |b1| in 10**[8, 11] of a3's sign, K in e**[-4, 4], the
+    radius in 10**[-6, 1] and rel_tol in {1e-6, 1e-7, 1e-8}."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        a3 = rng.uniform(-1e-9, 1e-9)
+        b1 = math.copysign(10.0 ** rng.uniform(8.0, 11.0), a3)
+        c = CanonicalParams(0.0, b1, a3, 0.0, math.exp(rng.uniform(-4.0, 4.0)))
+        out.append((c, 10.0 ** rng.uniform(-6.0, 1.0), rng.choice((1e-6, 1e-7, 1e-8))))
+    return out
+
+
+def test_the_error_bound_covers_round_off_on_family_i_centers():
+    # y**b1 with |b1| >= 1e8 turns each rounding of y into a relative
+    # error of |b1| eps in the rate of x: the displacement of these centers
+    # is round-off, which the bound's round-off term covers, and a scan
+    # finds no cycle in it.  Without that term 50 of the 77 maps that
+    # returned here exceeded their bound, by up to 50 times, and each of
+    # the three scans reported 2 to 4 cycles
+    returned = 0
+    for c, radius, rel_tol in _family_i_centers(2, 100):
+        try:
+            rec = poincare_return(c, 1.0 + radius, rel_tol)
+        except LotkaError:
+            continue
+        assert abs(rec.displacement) <= rec.error_bound, (c, radius, rel_tol, rec)
+        returned += 1
+    assert returned == 61, returned
+    for c, _, _ in _family_i_centers(2, 3):
+        assert detect_limit_cycles(c, 0.02, 1.5, 8).cycles == (), c
+
+
 def test_saddle_orbit_escapes():
     tr = integrate(CanonicalParams(2.0, 1.0, 1.0, 1.0, 1.0), (1.5, 1.5), t_max=50.0)
     assert tr.termination is TerminationReason.QUADRANT_ESCAPE
@@ -304,6 +349,25 @@ def test_single_stable_cycle_detection():
     assert cyc.stability is CycleStability.STABLE
     assert cyc.radius == pytest.approx(0.9454, abs=5e-3)
     assert abs(cyc.displacement) <= 1e-10
+
+
+@pytest.mark.parametrize("n_scan", [30, 117])
+def test_a_flat_inner_cycle_is_found_at_every_scan_density(n_scan):
+    # system 6 of perfbench cycles seed 2: the scan values -7.58e-8 and
+    # +4.53e-8 around the inner cycle clear their 1e-8 maps' bounds of
+    # 7.9e-9 and 9.4e-9, and 1e-10 and 1e-11 maps agree to 5 digits, so
+    # the sign change is real, though a fixed floor of 1e-7 would drop it
+    c = CanonicalParams(
+        1.0025552853899085, -1.8904279259665744, -2.999036703291685, 1.0, 1.0025595025218335
+    )
+    report = detect_limit_cycles(c, 0.02, 1.5, n_scan)
+    assert [cyc.stability for cyc in report.cycles] == [
+        CycleStability.UNSTABLE,
+        CycleStability.STABLE,
+    ]
+    inner, outer = (cyc.radius for cyc in report.cycles)
+    assert inner == pytest.approx(0.0845155886, abs=5e-10)
+    assert outer == pytest.approx(0.2486271412, abs=5e-10)
 
 
 def test_scan_records_no_return_radii_as_nan():
@@ -549,11 +613,11 @@ def premise_runs(bautin_runs):
     ends = set()
     inner = dynamics._brackets
 
-    def spy(c, radii, disp):
+    def spy(c, radii, disp, bounds):
         for r0, r1, d0, d1 in zip(radii, radii[1:], disp, disp[1:]):
             if d0 * d1 < 0.0:
                 ends.update({(c, r0), (c, r1)})
-        for bracket in inner(c, radii, disp):
+        for bracket in inner(c, radii, disp, bounds):
             assert {(c, bracket[0]), (c, bracket[1])} <= ends
             yield bracket
 
@@ -563,14 +627,12 @@ def premise_runs(bautin_runs):
     return reports, ends
 
 
-def test_scan_signs_beyond_the_noise_floor_hold_at_the_refinement_tolerance(premise_runs):
-    # the premises of refining a bracket from its scan ends:
-    # - every scan end whose _SIGN_REL_TOL displacement is beyond
-    #   _NOISE_FLOOR has the sign of the refinement map, and the two maps
-    #   differ by at most a quarter of that displacement;
+def test_scan_signs_beyond_their_own_bound_hold_at_the_refinement_tolerance(premise_runs):
+    # the premises of trusting a scan sign by its map's own bound:
     # - a _SCAN_REL_TOL map's error_bound covers its distance to the
-    #   refinement map at every scan radius, and every scan end whose
-    #   _SCAN_REL_TOL value _scan_value keeps has the refinement sign
+    #   refinement map at every scan radius, and so does a _SIGN_REL_TOL
+    #   map's at every scan end next to a sign change;
+    # - every such end that _scan_value vouches for has the refinement sign
     reports, ends = premise_runs
     refined_at = {}
 
@@ -579,38 +641,28 @@ def test_scan_signs_beyond_the_noise_floor_hold_at_the_refinement_tolerance(prem
             refined_at[c, r] = section_displacement(c, r, dynamics._REFINE_REL_TOL)
         return refined_at[c, r]
 
-    def first_map(c, r):
-        rec = poincare_return(c, 1.0 + r, dynamics._SCAN_REL_TOL)
-        kept = abs(rec.displacement) > max(rec.error_bound, dynamics._NOISE_FLOOR)
-        return rec, kept
-
     radii = dynamics._linspace(*(math.log10(v) for v in dynamics._BAUTIN_SCAN[:2]), 30)
     radii = [10.0**v for v in radii]
     radii[0], radii[-1] = dynamics._BAUTIN_SCAN[:2]
     bounded = 0
     for c in reports:
         for r in radii:
-            rec, _ = first_map(c, r)
+            rec = poincare_return(c, 1.0 + r, dynamics._SCAN_REL_TOL)
             error = abs(rec.displacement - refined(c, r))
             assert error <= rec.error_bound, (c, r, rec, error)
             bounded += 1
     assert bounded == 360, bounded
-    trusted = kept = 0
+    vouched = 0
     for c, r in ends:
-        rec, first_kept = first_map(c, r)
-        if first_kept:
-            d = refined(c, r)
-            assert (rec.displacement > 0.0) == (d > 0.0), (c, r, rec, d)
-            kept += 1
-        scan = section_displacement(c, r, dynamics._SIGN_REL_TOL)
-        if abs(scan) <= dynamics._NOISE_FLOOR:
-            continue
-        d = refined(c, r)
-        assert (scan > 0.0) == (d > 0.0), (c, r, scan, d)
-        assert 4.0 * abs(scan - d) <= abs(scan), (c, r, scan, d)
-        trusted += 1
-    assert trusted >= 32, trusted
-    assert kept >= 30, kept
+        sign_map = poincare_return(c, 1.0 + r, dynamics._SIGN_REL_TOL)
+        error = abs(sign_map.displacement - refined(c, r))
+        assert error <= sign_map.error_bound, (c, r, sign_map, error)
+        rec = dynamics._scan_value(c, r)
+        if abs(rec.displacement) > rec.error_bound:
+            assert (rec.displacement > 0.0) == (refined(c, r) > 0.0), (c, r, rec, refined(c, r))
+            vouched += 1
+    # on these systems the scan vouches for every end of a sign change
+    assert vouched == len(ends) == 36, (vouched, len(ends))
 
 
 def test_the_refinement_map_changes_sign_across_each_refined_root(premise_runs):
@@ -712,14 +764,13 @@ def test_scan_maps_each_point_once(monkeypatch, c, radii):
 
 
 def test_scan_maps_a_bracket_end_at_the_refinement_tolerance(monkeypatch):
-    # a seeded near-Bautin system whose bracket has an end under
-    # _NOISE_FLOOR: that end is the one refinement map at a scan radius.
-    # Brent on sign maps makes 5 maps; the root, 4 secant steps and the one
-    # map of Brent's hand-over are the other refinement maps.  The steps
-    # wander because the displacement moves by 2.3e-16 per 2e-11 of radius
-    # here, under the 1.7e-15 noise of one map
+    # system 1 of perfbench cycles seed 7: the scan value -2.07e-8 at
+    # r = 0.3385 is within its 1e-8 map's bound of 3.4e-8, so that end is
+    # the one refinement map at a scan radius, and its -2.06e-8 clears the
+    # 1.5e-11 bound of that map.  Brent on sign maps makes 4 maps; the root
+    # and one secant step are the other refinement maps
     c = CanonicalParams(
-        1.0006845742215416, -2.093228719126046, -2.762065970496456, 1.0, 1.0006845742215416
+        0.9950329712341762, 1.8254744393649363, 0.9621358029091333, 1.0, 0.9950329712341762
     )
     calls = _count_maps(monkeypatch)
     brent_maps = []
@@ -735,10 +786,16 @@ def test_scan_maps_a_bracket_end_at_the_refinement_tolerance(monkeypatch):
     report = detect_limit_cycles(c, 0.02, 1.5, 30)
     scan_x = {1.0 + r for r in report.scan_radii}
     refine = [x0 for _, x0, tol in calls if tol == dynamics._REFINE_REL_TOL]
-    assert sum(x0 in scan_x for x0 in refine) == 1
-    assert len(refine) == 7
-    assert brent_maps == [(dynamics._SIGN_REL_TOL, 5), (dynamics._REFINE_REL_TOL, 1)]
-    assert _cycle_hex(report) == [("0x1.5285d031d71b8p-3", "0x1.0000000000000p-52", "Stable")]
+    (end,) = [x0 for x0 in refine if x0 in scan_x]
+    assert len(refine) == 3
+    assert brent_maps == [(dynamics._SIGN_REL_TOL, 4)]
+    monkeypatch.undo()
+    scan = dynamics._scan_value(c, end - 1.0)
+    assert scan.error_bound == poincare_return(c, end, dynamics._SIGN_REL_TOL).error_bound
+    assert abs(scan.displacement) <= scan.error_bound
+    ref = poincare_return(c, end, dynamics._REFINE_REL_TOL)
+    assert abs(ref.displacement) > ref.error_bound
+    assert _cycle_hex(report) == [("0x1.5a93dfa56f5a5p-2", "0x1.6000000000000p-49", "Stable")]
 
 
 def test_secant_steps_past_the_cap_hand_over_to_brent(monkeypatch):
@@ -776,29 +833,32 @@ def test_secant_steps_past_the_cap_hand_over_to_brent(monkeypatch):
 
 
 def test_scan_value_re_maps_what_its_first_map_cannot_vouch_for(monkeypatch):
-    # a first map beyond its bound and the floor is kept; one under its
-    # bound, or one that raises, gives way to the map at _SIGN_REL_TOL
+    # a first map beyond its bound is kept, and one within it gives way to
+    # the map at _SIGN_REL_TOL; a first map that raises is final, and no
+    # re-map follows it
     c = CanonicalParams(0.98, 2.0, 1.0, 1.0, 0.98)
     r = 0.4
     first = poincare_return(c, 1.0 + r, dynamics._SCAN_REL_TOL)
-    assert abs(first.displacement) > max(first.error_bound, dynamics._NOISE_FLOOR)
-    assert dynamics._scan_value(c, r) == first.displacement
-    sign_map = section_displacement(c, r, dynamics._SIGN_REL_TOL)
-    assert sign_map != first.displacement
+    assert abs(first.displacement) > first.error_bound
+    assert dynamics._scan_value(c, r) == first
+    sign_map = poincare_return(c, 1.0 + r, dynamics._SIGN_REL_TOL)
+    assert sign_map.displacement != first.displacement
     inner = dynamics.poincare_return
 
     def loose_bound(c, x0, rel_tol):
         rec = inner(c, x0, rel_tol)
         return rec._replace(error_bound=math.inf) if rel_tol == dynamics._SCAN_REL_TOL else rec
 
-    def no_first_return(c, x0, rel_tol):
-        if rel_tol == dynamics._SCAN_REL_TOL:
-            raise NoReturn("first map")
-        return inner(c, x0, rel_tol)
+    monkeypatch.setattr(dynamics, "poincare_return", loose_bound)
+    assert dynamics._scan_value(c, r) == sign_map
 
-    for patched in (loose_bound, no_first_return):
-        monkeypatch.setattr(dynamics, "poincare_return", patched)
-        assert dynamics._scan_value(c, r) == sign_map, patched.__name__
+    def no_first_return(c, x0, rel_tol):
+        assert rel_tol == dynamics._SCAN_REL_TOL, "a re-map followed a raise"
+        raise NoReturn("first map")
+
+    monkeypatch.setattr(dynamics, "poincare_return", no_first_return)
+    with pytest.raises(NoReturn, match="first map"):
+        dynamics._scan_value(c, r)
 
 
 def test_bautin_stage2_shrinks_eps_when_the_half_fold_lacks_the_shape(monkeypatch):
