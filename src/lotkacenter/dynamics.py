@@ -22,15 +22,15 @@ steps' embedded error estimates plus a round-off term.
 Cycle search scans the displacement over radii.  One rule trusts a
 sign: a map vouches for it when |displacement| exceeds the map's error
 bound.  A scan value is mapped at a loose tolerance, and re-mapped at
-the sign tolerance when that map does not vouch for it.  A bracket end
-the scan cannot vouch for is mapped once at the refinement tolerance,
-and a sign change stands only when both its ends are vouched for.
-Brent's method finds the root of the sign maps in each bracket, and
-secant steps on refinement maps finish it.  They stop
-once a step falls under that tolerance: the root of a return map at
-relTol is only as good as the map, so iterating below relTol buys return
-maps, not accuracy.  Steps that do not settle hand over to Brent on
-refinement maps.  The Bautin construction takes
+the sign tolerance when that map does not vouch for it.  An end of a
+sign change that the scan cannot vouch for is mapped once at the
+refinement tolerance, and the sign changes of the vouched values are the
+brackets.  Brent's method finds the root of the sign maps in each
+bracket, and secant steps on refinement maps finish it.  They go on
+while each value comes closer to 0 and stop once a step falls under that
+tolerance: the root of a return map at relTol is only as good as the
+map, so iterating below relTol, or in its round-off, buys return maps,
+not accuracy.  The Bautin construction takes
 its trace perturbation from the generalized-Hopf normal form and keeps
 the return-map scan as the certificate of the two-cycle shape.
 
@@ -98,20 +98,17 @@ _ESCAPE_HIGH = 1e4
 _SCAN_REL_TOL = 1e-7
 _SIGN_REL_TOL = 1e-8
 #: return-map tolerance of the root refinement; its secant steps stop
-#: once the next step is at most half of it.  Mapping at 1e-11 instead
-#: moves a refined root by a median 3.5e-11 and at most 7e-10, on small
-#: flat cycles (1,305 cycles of seeded near-Bautin systems), so smaller
-#: steps spend return maps inside the maps' own noise
+#: once the next step is at most half of it, or the next value is no
+#: closer to 0.  Mapping at 1e-11 instead moves a refined root by a
+#: median 3.5e-11 and at most 7e-10, on small flat cycles (1,305 cycles
+#: of seeded near-Bautin systems), so smaller steps spend return maps
+#: inside the maps' own noise
 _REFINE_REL_TOL = 1e-10
 #: the first secant step takes the slope of the sign maps from a value
 #: more than this share of the radius from their root: closer values
 #: differ by little more than the maps' error, and the nearest one made 6%
 #: more refinement maps
 _SLOPE_SPAN = 1e-6
-#: secant steps before the refinement hands over to Brent; 4 hand over on
-#: 20 of those 1,305 cycles, all flat ones whose steps wander in the maps'
-#: round-off
-_SECANT_STEPS = 4
 #: the radius window and scan length of both Bautin stages
 _BAUTIN_SCAN = (0.02, 1.5, 30)
 
@@ -143,7 +140,8 @@ class ReturnRecord(NamedTuple):
     ``crossings`` is 2 on a first return of the flow: on y = 1 the sign
     of dy/dt = K(1 - x**a3) is fixed on each side of x = 1, and a3 = 0 is
     refused, so an orbit from x0 > 1 crosses once at x < 1 and returns
-    at x > 1.
+    at x > 1.  A map that counts other crossings is no first return and
+    raises NoReturn.
 
     ``error_bound`` bounds the error of ``return_x``: the sum of the
     embedded error estimates of the map's steps (local truncation errors,
@@ -463,8 +461,9 @@ def poincare_return(
     """First return to the section y = 1 on the start side of (1, 1).
 
     ``x0`` is the start's x on the section and must exceed 1.  The orbit
-    gets ``_PERIODS_BUDGET`` characteristic periods to return, and a
-    return within its ``error_bound`` of x = 1 is NoReturn.  A start
+    gets ``_PERIODS_BUDGET`` characteristic periods to return.  A return
+    after other than 2 crossings, or within its ``error_bound`` of x = 1,
+    is NoReturn.  A start
     where the field is not evaluable, or where dy/dt = 0 so the section
     is not transversal, raises PreconditionViolated.  At a3 = 0 the line
     y = 1 is invariant, since dy/dt = K(1 - y**b3) vanishes on it: no
@@ -507,6 +506,11 @@ def poincare_return(
             f"({reason.value}; last state t={last[0]:.6g}, x={last[1]:.6g}, y={last[2]:.6g})"
         )
     return_time, return_x, crossings, err_sum = hit
+    if crossings != 2:
+        raise NoReturn(
+            f"orbit from in-section coordinate {x0} crossed the section {crossings} times, "
+            "not 2, before it returned"
+        )
     weight = abs(c.a1) + abs(c.b1) + abs(c.a3) + abs(c.b3)
     error_bound = err_sum + sys.float_info.epsilon * n_acc * (1.0 + weight * return_time) * return_x
     if return_x - 1.0 <= error_bound:
@@ -621,33 +625,31 @@ def _scan(c: CanonicalParams, radii: list[float]) -> list[tuple[float, float]]:
 
 
 def _brackets(c: CanonicalParams, radii: list[float], disp: tuple, bounds: tuple):
-    """Yield ``(lo, hi, f_lo, f_hi)`` for each sign change of the scan
-    whose two ends are vouched for.
+    """Yield ``(lo, hi, f_lo, f_hi)`` for each sign change of the vouched
+    values of the scan.
 
-    An end is vouched for when |d| exceeds its map's bound.  An end that
-    its scan map cannot vouch for is mapped once at ``_REFINE_REL_TOL``
-    and vouched for by that map, or not at all; the bracket takes the
-    vouched values and is dropped unless they change sign.
+    A scan value is vouched for when |d| exceeds its map's bound.  An end
+    of a sign change that its scan map cannot vouch for is mapped once at
+    ``_REFINE_REL_TOL`` and takes that map's value when the map vouches
+    for it, or NaN.  A new value can open a sign change with a neighbour,
+    so this repeats until no sign change has an end left to vouch for.
     """
-    vouched = {}
+    value = list(disp)
+    unvouched = {i for i, (d, b) in enumerate(zip(disp, bounds)) if not abs(d) > b}
 
-    def vouch(i: int) -> float:
-        if i not in vouched:
-            d = disp[i]
-            if not abs(d) > bounds[i]:
-                try:
-                    rec = poincare_return(c, 1.0 + radii[i], _REFINE_REL_TOL)
-                    d = rec.displacement if abs(rec.displacement) > rec.error_bound else math.nan
-                except (NoReturn, PreconditionViolated):
-                    d = math.nan
-            vouched[i] = d
-        return vouched[i]
+    def sign_changes() -> list[int]:
+        return [i for i in range(len(radii) - 1) if value[i] * value[i + 1] < 0.0]
 
-    for i in range(len(radii) - 1):
-        if disp[i] * disp[i + 1] < 0.0:
-            f_lo, f_hi = vouch(i), vouch(i + 1)
-            if f_lo * f_hi < 0.0:
-                yield radii[i], radii[i + 1], f_lo, f_hi
+    while ends := sorted(unvouched.intersection(j for i in sign_changes() for j in (i, i + 1))):
+        for i in ends:
+            unvouched.remove(i)
+            try:
+                rec = poincare_return(c, 1.0 + radii[i], _REFINE_REL_TOL)
+                value[i] = rec.displacement if abs(rec.displacement) > rec.error_bound else math.nan
+            except (NoReturn, PreconditionViolated):
+                value[i] = math.nan
+    for i in sign_changes():
+        yield radii[i], radii[i + 1], value[i], value[i + 1]
 
 
 def _refine(c: CanonicalParams, lo: float, hi: float, f_lo: float, f_hi: float):
@@ -658,12 +660,11 @@ def _refine(c: CanonicalParams, lo: float, hi: float, f_lo: float, f_hi: float):
     accuracy.  That root is mapped at ``_REFINE_REL_TOL``, and the first
     step takes the sign maps' slope, from the nearest sign value more than
     ``_SLOPE_SPAN`` of the radius away; each later step is the secant of
-    the last two refinement values.  A step of at most half of
-    ``_REFINE_REL_TOL`` ends the search on the last mapped radius.  A
-    step that would leave the bracket, two equal values or more than
-    ``_SECANT_STEPS`` steps hand over to Brent on refinement maps, over
-    the tightest sign change among the bracket ends and the refinement
-    values.
+    the last two refinement values.  The steps go on while each new value
+    is closer to 0 than the last, and the search ends on the closer of the
+    last two mapped radii.  It also ends on the last mapped radius at a
+    step of at most half of ``_REFINE_REL_TOL``, a step that would leave
+    the bracket, or two equal values.
     """
     sign_values = [(lo, f_lo), (hi, f_hi)]
 
@@ -677,28 +678,15 @@ def _refine(c: CanonicalParams, lo: float, hi: float, f_lo: float, f_hi: float):
     px, ps = min(sign_values, key=lambda v: (abs(v[0] - x) <= _SLOPE_SPAN * x, abs(v[0] - x)))
     dx, dd = x - px, s - ps
     d = section_displacement(c, x, _REFINE_REL_TOL)
-    refined = [(lo, f_lo), (hi, f_hi), (x, d)]
-    for n in range(_SECANT_STEPS + 1):
-        if dd == 0.0:
-            break
+    while dd != 0.0:
         step = -d * dx / dd
-        if abs(step) <= 0.5 * _REFINE_REL_TOL:
-            return x, d
-        if n == _SECANT_STEPS or not lo < x + step < hi:
+        if abs(step) <= 0.5 * _REFINE_REL_TOL or not lo < x + step < hi:
             break
-        x += step
-        d_prev, d = d, section_displacement(c, x, _REFINE_REL_TOL)
-        dx, dd = step, d - d_prev
-        refined.append((x, d))
-
-    refined.sort()
-    (a, f_a), (b, f_b) = min(
-        ((u, v) for u, v in zip(refined, refined[1:]) if (u[1] > 0.0) != (v[1] > 0.0)),
-        key=lambda uv: uv[1][0] - uv[0][0],
-    )
-    return brentq(
-        lambda r: section_displacement(c, r, _REFINE_REL_TOL), a, b, f_a, f_b, xtol=_REFINE_REL_TOL
-    )
+        d_next = section_displacement(c, x + step, _REFINE_REL_TOL)
+        if not abs(d_next) < abs(d):
+            break
+        x, dx, dd, d = x + step, step, d_next - d, d_next
+    return x, d
 
 
 def detect_limit_cycles(
@@ -711,14 +699,14 @@ def detect_limit_cycles(
     refine each sign change to a periodic orbit at ``_REFINE_REL_TOL``.
 
     A scan value is mapped at ``_SCAN_REL_TOL`` and kept when it clears
-    its error bound, or else re-mapped at ``_SIGN_REL_TOL``; a sign
-    change counts only when ``_brackets`` finds both its ends vouched
-    for by a map's bound.  ``_refine`` finds the root of the
-    ``_SIGN_REL_TOL`` maps in each sign change and takes secant steps on
+    its error bound, or else re-mapped at ``_SIGN_REL_TOL``; the
+    brackets are the sign changes of the values that ``_brackets``
+    vouches for by a map's bound.  ``_refine`` finds the root of the
+    ``_SIGN_REL_TOL`` maps in each bracket and takes secant steps on
     ``_REFINE_REL_TOL`` maps from there.  It stops once a step is within
-    ``_REFINE_REL_TOL``, the accuracy of those maps, so a radius is
-    refined to about that tolerance, not below it, and its displacement
-    is the map at that radius.
+    ``_REFINE_REL_TOL``, the accuracy of those maps, or a value comes no
+    closer to 0, so a radius is refined to about that tolerance, not
+    below it, and its displacement is the map at that radius.
 
     A sign change of values within their bounds, such as the drift of an
     exact center, is integration noise and yields no cycle.  Radii that

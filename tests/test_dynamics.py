@@ -370,6 +370,39 @@ def test_a_flat_inner_cycle_is_found_at_every_scan_density(n_scan):
     assert outer == pytest.approx(0.2486271412, abs=5e-10)
 
 
+def test_a_refinement_map_that_flips_a_scan_end_opens_the_neighbouring_bracket():
+    # system 33 of perfbench cycles seed 26: the scan reads -1.70e-6,
+    # -5.8e-11 and +2.62e-6 at r = 0.1029, 0.1194 and 0.1385; the middle
+    # value is within its 1e-8 map's bound of 1.0e-8, and the 1e-10 map
+    # reads +1.40e-10 there (a 1e-12 map agrees), so the inner cycle lies
+    # in the lower interval, whose scan values do not change sign
+    c = CanonicalParams(
+        0.9944208180289437, 1.9978940915550083, 1.2428657444558562, 1.0, 0.9944476390688168
+    )
+    report = detect_limit_cycles(c, 0.02, 1.5, 30)
+    assert [cyc.stability for cyc in report.cycles] == [
+        CycleStability.UNSTABLE,
+        CycleStability.STABLE,
+    ]
+    inner, outer = (cyc.radius for cyc in report.cycles)
+    assert inner == pytest.approx(0.1193749, abs=5e-8)
+    assert outer == pytest.approx(0.3461006, abs=5e-8)
+    i = next(k for k, r in enumerate(report.scan_radii) if r > inner)
+    assert report.scan_displacements[i - 1] < 0.0 and report.scan_displacements[i] < 0.0
+
+
+def test_a_map_that_crosses_the_section_other_than_twice_is_no_return():
+    # a stable node (trace -1,647, det 13,231) whose 1e-7 maps counted 6
+    # and 5 crossings before a "return" far outside their bounds
+    c = CanonicalParams(
+        -8.074452497847943, 71.02981057256397, -1.584609217113988e-10, 65.43714859662037,
+        25.040302766431655,
+    )
+    for x0, crossings in ((1.00781, 6), (1.0156, 5)):
+        with pytest.raises(NoReturn, match=f"crossed the section {crossings} times"):
+            poincare_return(c, x0, 1e-7)
+
+
 def test_scan_records_no_return_radii_as_nan():
     rep = detect_limit_cycles(CanonicalParams(2.0, -1.0, -3.0, 1.0, 1.0), 0.5, 3.0, 6)
     assert any(math.isnan(d) for d in rep.scan_displacements)
@@ -685,7 +718,7 @@ def test_the_refinement_map_changes_sign_across_each_refined_root(premise_runs):
 
 def _refined_against_reference(monkeypatch, c, radii, report) -> list[float]:
     """|radius - reference radius| of each cycle of ``report``, the
-    reference refined with maps at, and Brent stopped at, 1e-11."""
+    reference refined with maps at, and secant steps stopped at, 1e-11."""
     monkeypatch.setattr(dynamics, "_REFINE_REL_TOL", 1e-11)
     ref = detect_limit_cycles(c, *radii)
     monkeypatch.undo()
@@ -798,11 +831,20 @@ def test_scan_maps_a_bracket_end_at_the_refinement_tolerance(monkeypatch):
     assert _cycle_hex(report) == [("0x1.5a93dfa56f5a5p-2", "0x1.6000000000000p-49", "Stable")]
 
 
-def test_secant_steps_past_the_cap_hand_over_to_brent(monkeypatch):
+def _fitted_root(c: CanonicalParams, radius: float, rel_tol: float) -> float:
+    """Root of the least-squares line through the displacements of 17
+    maps at ``rel_tol`` spread over ``radius`` +- 2e-9."""
+    radii = [radius + k * 2.5e-10 for k in range(-8, 9)]
+    disp = [section_displacement(c, r, rel_tol) for r in radii]
+    slope, intercept = statistics.linear_regression([r - radius for r in radii], disp)
+    return radius - intercept / slope
+
+
+def test_secant_steps_stop_on_a_value_no_closer_to_zero(monkeypatch):
     # system 6 of perfbench cycles seed 4: the steps to its small, flat
-    # inner cycle wander in the maps' round-off for _SECANT_STEPS steps,
-    # and Brent finishes the root on refinement maps; the outer cycle's
-    # steps settle on their own
+    # inner cycle reach the maps' round-off, where the next value is no
+    # closer to 0 than the last; the search ends there on the closer one.
+    # Brent runs on sign maps only
     c = CanonicalParams(
         1.0027006038625466, -1.8847439603907201, -2.9959015406166034, 1.0, 1.0027053870966984
     )
@@ -810,8 +852,9 @@ def test_secant_steps_past_the_cap_hand_over_to_brent(monkeypatch):
     inner_map, inner_brent = dynamics.poincare_return, dynamics.brentq
 
     def mapped(c, x0, rel_tol=1e-9):
-        events.append(rel_tol)
-        return inner_map(c, x0, rel_tol)
+        rec = inner_map(c, x0, rel_tol)
+        events.append((rel_tol, rec.displacement))
+        return rec
 
     def brent(*args, **kwargs):
         events.append(("call", kwargs["xtol"]))
@@ -823,11 +866,17 @@ def test_secant_steps_past_the_cap_hand_over_to_brent(monkeypatch):
     monkeypatch.setattr(dynamics, "brentq", brent)
     report = detect_limit_cycles(c, *dynamics._BAUTIN_SCAN)
     sign, refine = dynamics._SIGN_REL_TOL, dynamics._REFINE_REL_TOL
-    calls = [e[1] for e in events if isinstance(e, tuple) and e[0] == "call"]
-    assert calls == [sign, refine, sign]
-    start, hand_over = events.index(("return", sign)), events.index(("call", refine))
-    assert events[start + 1 : hand_over] == [refine] * (1 + dynamics._SECANT_STEPS)
-    errors = _refined_against_reference(monkeypatch, c, dynamics._BAUTIN_SCAN, report)
+    calls = [i for i, e in enumerate(events) if e[0] == "call"]
+    assert [events[i][1] for i in calls] == [sign, sign]
+    start = events.index(("return", sign))
+    values = [abs(d) for tol, d in events[start + 1 : calls[1]] if tol == refine]
+    assert len(values) >= 3
+    assert all(a > b for a, b in zip(values, values[1:-1])) and values[-1] >= values[-2], values
+    assert abs(report.cycles[0].displacement) == values[-2]
+    monkeypatch.undo()
+    # one 1e-11 map's round-off moves this flat root by about 2.4e-10, so
+    # the reference is the root of a line fitted to 17 of them
+    errors = [abs(cyc.radius - _fitted_root(c, cyc.radius, 1e-11)) for cyc in report.cycles]
     assert len(errors) == 2
     assert max(errors) <= 5e-10, errors
 
@@ -861,9 +910,21 @@ def test_scan_value_re_maps_what_its_first_map_cannot_vouch_for(monkeypatch):
         dynamics._scan_value(c, r)
 
 
-def test_bautin_stage2_shrinks_eps_when_the_half_fold_lacks_the_shape(monkeypatch):
-    # at half the fold this base's stage-2 scan lacks the two-cycle shape;
-    # one shrink by 0.6 gives it
+#: a base whose stage-2 scan at half the fold needs a refinement map to
+#: sign a scan end (b1, a3, dK)
+_FLIP_BASE = (-2.2531572471748147, -0.9224533511859776, -0.014972105237481066)
+
+
+def _half_fold(result: BautinResult) -> float:
+    omega = math.sqrt(jacobian(result.stage1_params).determinant)
+    return omega * result.stage1_focal.L1**2 / (8.0 * math.pi * abs(result.base_focal.L2))
+
+
+def test_bautin_stage2_keeps_a_cycle_whose_scan_end_the_refinement_map_flips(monkeypatch):
+    # at half the fold the stage-2 scan reads +5.8e-9 at r = 0.95966,
+    # within its 1e-8 map's bound of 1.3e-7, and the 1e-10 map reads
+    # -4.39e-9 there (a 1e-12 map agrees): the stable cycle lies in the
+    # interval below, whose scan values do not change sign
     scanned = []
     inner = dynamics.detect_limit_cycles
 
@@ -872,12 +933,40 @@ def test_bautin_stage2_shrinks_eps_when_the_half_fold_lacks_the_shape(monkeypatc
         return inner(c, *radii)
 
     monkeypatch.setattr(dynamics, "detect_limit_cycles", counted)
-    result = bautin_scenario(-2.2531572471748147, -0.9224533511859776, -0.014972105237481066)
+    result = bautin_scenario(*_FLIP_BASE)
+    assert scanned == [result.stage1_params, result.stage2_params]
+    assert result.stage2_eps == _half_fold(result) == 1.3905615681133454e-05
+    report = result.stage2_report
+    assert [(round(cyc.radius, 4), cyc.stability) for cyc in report.cycles] == [
+        (0.2901, CycleStability.UNSTABLE),
+        (0.9597, CycleStability.STABLE),
+    ]
+    i = min(range(len(report.scan_radii)), key=lambda k: abs(report.scan_radii[k] - 0.95966))
+    lo, end = report.scan_radii[i - 1 : i + 1]
+    assert lo < report.cycles[1].radius < end
+    assert report.scan_displacements[i - 1] > 0.0 and report.scan_displacements[i] > 0.0
+    scan = dynamics._scan_value(result.stage2_params, end)
+    assert abs(scan.displacement) <= scan.error_bound
+    refined = poincare_return(result.stage2_params, 1.0 + end, dynamics._REFINE_REL_TOL)
+    assert -refined.displacement > refined.error_bound
+
+
+def test_bautin_stage2_shrinks_eps_when_the_half_fold_lacks_the_shape(monkeypatch):
+    # a stage-2 scan at half the fold that lacks the two-cycle shape (here
+    # a stand-in report with no cycle) gives way to one at 0.6 of it
+    scanned = []
+    inner = dynamics.detect_limit_cycles
+
+    def first_stage2_lacks_the_shape(c, *radii):
+        scanned.append(c)
+        report = inner(c, *radii)
+        return report._replace(cycles=()) if len(scanned) == 2 else report
+
+    monkeypatch.setattr(dynamics, "detect_limit_cycles", first_stage2_lacks_the_shape)
+    result = bautin_scenario(*_FLIP_BASE)
     # stage 1, then two stage-2 scans: the half fold's and the accepted one
     assert scanned[::2] == [result.stage1_params, result.stage2_params] and len(scanned) == 3
-    omega = math.sqrt(jacobian(result.stage1_params).determinant)
-    half_fold = omega * result.stage1_focal.L1**2 / (8.0 * math.pi * abs(result.base_focal.L2))
-    assert result.stage2_eps == 0.6 * half_fold == 8.343369408680072e-06
+    assert result.stage2_eps == 0.6 * _half_fold(result) == 8.343369408680072e-06
     radii = [round(cyc.radius, 4) for cyc in result.stage2_report.cycles]
     stabilities = [cyc.stability for cyc in result.stage2_report.cycles]
     assert radii == [0.2074, 1.0127]
