@@ -120,11 +120,14 @@ def _params(args: argparse.Namespace) -> CanonicalParams:
     )
 
 
-def _sample_points(n: int, seed: int) -> list[tuple[float, float]]:
+def _sample_points(n: int, seed: int, tol: float) -> list[tuple[float, float]]:
+    """A verify command's sample points, once its --points, --seed and --tol pass."""
     if n < 1:
         raise _UsageError(f"--points must be at least 1, got {n}")
     if seed < 0:
         raise _UsageError(f"--seed must be non-negative, got {seed}")
+    if not 0.0 <= tol < math.inf:
+        raise _UsageError(f"--tol must be finite and non-negative, got {tol}")
     rng, lo, hi = random.Random(seed), math.log(0.25), math.log(4.0)
     return [(math.exp(rng.uniform(lo, hi)), math.exp(rng.uniform(lo, hi))) for _ in range(n)]
 
@@ -369,7 +372,7 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
 
 def _cmd_verify_integral(args: argparse.Namespace) -> int:
     c = _params(args)
-    pts = _sample_points(args.points, args.seed)
+    pts = _sample_points(args.points, args.seed, args.tol)
     fi = build_integral(_CASE_BY_NAME[args.case], c)
     residual = invariance_residual(fi, c, pts)
     print(_integral_text(fi))
@@ -378,7 +381,7 @@ def _cmd_verify_integral(args: argparse.Namespace) -> int:
 
 def _cmd_verify_reversible(args: argparse.Namespace) -> int:
     c = _params(args)
-    pts = _sample_points(args.points, args.seed)
+    pts = _sample_points(args.points, args.seed, args.tol)
     residual_fn = r1_residual if args.family == "r1" else r2_residual
     residual = residual_fn(c, pts)
     return _print_verification(args.family, args.points, residual, args.tol)

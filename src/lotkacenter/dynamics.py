@@ -209,8 +209,7 @@ def _drive(
     t_char: float,
     *,
     step_budget: int = STEP_BUDGET_DEFAULT,
-    section: tuple[float, float] | None = None,
-    record: bool = False,
+    section: float | None = None,
 ):
     """Shared stepping loop; ``t_char`` is ``_char_period`` of ``c``'s determinant.
 
@@ -228,10 +227,11 @@ def _drive(
     horizon, as QUADRANT_ESCAPE near the escape box and as
     STEP_SIZE_FLOOR elsewhere.
 
-    ``section`` is (direction, t_min) for the section y = 1: a crossing
-    after ``t_min`` where dy/dt has the sign of ``direction`` is the
-    return.  A step across y = 1 against ``direction``, read from its two
-    ends, only counts a crossing.  One in ``direction`` puts the loop into
+    ``section`` is the direction, +1 or -1, of the return to the section
+    y = 1: a crossing where dy/dt has its sign is the return.  The straddle
+    test is strict at the step's start, so a start on y = 1 is no crossing.
+    A step across y = 1 against ``section``, read from its two ends, only
+    counts a crossing.  One in ``section``'s direction puts the loop into
     its polish state: from the secant seed dt = h (1 - y) / (y1 - y), up
     to six Newton iterations re-run the stage block from the step's start
     with the substep ``dt``, so the reported crossing lies on the
@@ -243,9 +243,9 @@ def _drive(
     stepper.  Returns (reason, hit, (accepted, rejected), (times,
     points), last (t, x, y)); ``hit`` is the return's (t, x, crossings,
     err_sum) and None unless the section was reached, and the samples
-    are empty unless ``record``.  ``err_sum`` adds up the embedded error
-    estimate sqrt(ex**2 + ey**2) of every step that passes the error
-    test, the return's own step included.
+    are kept exactly when there is no section.  ``err_sum`` adds up the
+    embedded error estimate sqrt(ex**2 + ey**2) of every step that passes
+    the error test, the return's own step included.
     """
     if not 1e-13 <= rel_tol <= 1e-3:
         raise ValueError(f"rel_tol must lie in [1e-13, 1e-3], got {rel_tol}")
@@ -276,6 +276,7 @@ def _drive(
     n_rej = 0
     crossings = 0
     err_sum = 0.0
+    record = section is None
     times = [t] if record else []
     pts = [(x, y)] if record else []
     hit = None
@@ -284,8 +285,6 @@ def _drive(
     # positive, the stage block runs the substep dt from the state (x, y)
     # instead of a step; -1 ends the polish in the pass that sets it
     polish = 0
-    if section is not None:
-        direction, t_min = section
 
     # the per-step path spells max/min as comparisons that pick the same
     # floats; x, x1, y and y1 are positive, so the scales need no abs
@@ -375,13 +374,11 @@ def _drive(
                     if polish:
                         continue
             polish = 0
-            hit_t = t + dt
-            if hit_t > t_min:
-                crossings += 1
-                if math.copysign(1.0, fr) == direction:
-                    hit = hit_t, xr, crossings, err_sum
-                    reason = TerminationReason.SECTION_RETURN
-                    break
+            crossings += 1
+            if math.copysign(1.0, fr) == section:
+                hit = t + dt, xr, crossings, err_sum
+                reason = TerminationReason.SECTION_RETURN
+                break
             x1, y1, fx1, fy1 = step_end
         else:
             ex = h * (e1 * fx + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * fx1)
@@ -409,8 +406,8 @@ def _drive(
                     h_next = h_cap
             err_sum += sqrt(ex * ex + ey * ey)
 
-            if section is not None and ((y < 1.0 <= y1) or (y > 1.0 >= y1)) and t + h > t_min:
-                if (y < y1) != (direction > 0.0):
+            if section is not None and ((y < 1.0 <= y1) or (y > 1.0 >= y1)):
+                if (y < y1) != (section > 0.0):
                     crossings += 1
                 else:
                     step_end = x1, y1, fx1, fy1
@@ -448,7 +445,7 @@ def integrate(
         raise ValueError(f"step_budget must be an integer of at least 1, got {step_budget!r}")
     t_char = _char_period(jacobian(c).determinant)
     reason, _, (n_acc, n_rej), (times, pts), _ = _drive(
-        c, x0, y0, t_max, rel_tol, t_char, step_budget=step_budget, record=True
+        c, x0, y0, t_max, rel_tol, t_char, step_budget=step_budget
     )
     return Trajectory(tuple(times), tuple(pts), n_acc, n_rej, reason)
 
@@ -496,9 +493,8 @@ def poincare_return(
             f"derivative of the section coordinate vanishes at ({x0}, 1.0)"
         )
     t_char = _char_period(summary.determinant)
-    section = math.copysign(1.0, fy), 1e-8 * t_char
     reason, hit, (n_acc, _), _, last = _drive(
-        c, x0, 1.0, _PERIODS_BUDGET * t_char, rel_tol, t_char, section=section
+        c, x0, 1.0, _PERIODS_BUDGET * t_char, rel_tol, t_char, section=math.copysign(1.0, fy)
     )
     if hit is None:
         raise NoReturn(
@@ -745,11 +741,10 @@ def bautin_scenario(b1: float, a3: float, delta_k: float) -> BautinResult:
     unstable inner cycle.
 
     eps is half the normal-form fold omega L1**2 / (4 pi |L2|), read from
-    stage one's frequency and first focal value and the base's second,
-    and shrunk by 0.6 up to five times until the stage-two scan shows the
-    two-cycle shape.  Both stages scan the radii ``_BAUTIN_SCAN``.  The
-    result has that shape; a base, a ``delta_k`` or a scan that cannot
-    give it raises BadBase.  That includes a non-finite ``b1`` or ``a3``
+    stage one's frequency and first focal value and the base's second.
+    Both stages scan the radii ``_BAUTIN_SCAN`` once.  The result has the
+    two-cycle shape; a base, a ``delta_k`` or a scan that cannot give it
+    raises BadBase.  That includes a non-finite ``b1`` or ``a3``
     and a ``delta_k`` that leaves stage one without a finite positive K
     or a positive determinant.
     """
@@ -785,17 +780,13 @@ def bautin_scenario(b1: float, a3: float, delta_k: float) -> BautinResult:
     # 0 < eps < omega L1**2 / (4 pi |L2|); take half that fold
     eps = stage1_linear.omega * stage1_focal.L1**2 / (8.0 * math.pi * abs(base_focal.L2))
 
-    for _ in range(6):
-        stage2 = CanonicalParams(a1=k1 - eps, b1=b1, a3=a3, b3=1.0, K=k1)
-        stage2_report = detect_limit_cycles(stage2, *_BAUTIN_SCAN)
-        shape2 = tuple(cyc.stability for cyc in stage2_report.cycles)
-        if shape2 == (CycleStability.UNSTABLE, CycleStability.STABLE):
-            break
-        eps *= 0.6
-    else:
+    stage2 = CanonicalParams(a1=k1 - eps, b1=b1, a3=a3, b3=1.0, K=k1)
+    stage2_report = detect_limit_cycles(stage2, *_BAUTIN_SCAN)
+    shape2 = tuple(cyc.stability for cyc in stage2_report.cycles)
+    if shape2 != (CycleStability.UNSTABLE, CycleStability.STABLE):
         raise BadBase(
-            f"stage 2 of base (b1={b1}, a3={a3}, dK={delta_k}) lacks the "
-            f"two-cycle shape down to eps = {eps / 0.6:.3g}"
+            f"stage 2 of base (b1={b1}, a3={a3}, dK={delta_k}) at eps = {eps:.3g} "
+            f"needs an unstable cycle inside a stable one, found {[s.value for s in shape2]}"
         )
 
     return BautinResult(

@@ -156,6 +156,24 @@ def test_verify_rejects_negative_seed(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "-1e-300", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-reversible", "--family", "r1", "--a1", "2", "--b1", "0.5", "--a3", "0.5", "--b3", "2", "--K", "1"],
+        ["verify-integral", "--case", "i", *CANON],
+    ],
+    ids=["reversible", "integral"],
+)
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_non_negative(capsys, argv, tol):
+    # a NaN or negative tolerance fails a residual of 0, an infinite one
+    # passes any residual
+    assert run_cli([*argv, "--tol", tol]) == 64
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --tol must be finite and non-negative, got {float(tol)}\n"
+    assert captured.out == ""
+
+
 def test_numeric_errors_exit_65(capsys):
     assert run_cli(["classify", "--a1", "1", "--b1", "2", "--a3", "1", "--b3", "1", "--K", "-1"]) == 65
     assert "K must be positive" in capsys.readouterr().err

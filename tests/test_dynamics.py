@@ -126,7 +126,8 @@ def test_a_return_crosses_the_section_twice(sampler, seed, radius, rel_tol):
     (c,) = _ELLIPTIC_SAMPLERS[sampler](seed, 1)
     try:
         rec = poincare_return(c, 1.0 + radius, rel_tol)
-    except NoReturn:
+    except NoReturn as exc:
+        assert "crossed the section" not in str(exc), (c, radius, rel_tol)
         return
     assert (rec.crossings, rec.return_x > 1.0) == (2, True), (c, radius, rel_tol, rec)
 
@@ -951,26 +952,29 @@ def test_bautin_stage2_keeps_a_cycle_whose_scan_end_the_refinement_map_flips(mon
     assert -refined.displacement > refined.error_bound
 
 
-def test_bautin_stage2_shrinks_eps_when_the_half_fold_lacks_the_shape(monkeypatch):
-    # a stage-2 scan at half the fold that lacks the two-cycle shape (here
-    # a stand-in report with no cycle) gives way to one at 0.6 of it
+#: a base whose stage-2 scan at half the fold finds only the stable cycle,
+#: at r = 0.0335: the normal form puts the inner one near r = 0.014, below
+#: the scan's r_min, and a smaller eps would move it further in (b1, a3, dK)
+_STAGE2_BAD_BASE = (3.9519634808160795, 0.7381422058234124, -0.0001578676591124373)
+
+
+def test_bautin_stage2_without_the_shape_raises_after_one_scan(monkeypatch):
     scanned = []
     inner = dynamics.detect_limit_cycles
 
-    def first_stage2_lacks_the_shape(c, *radii):
+    def counted(c, *radii):
         scanned.append(c)
-        report = inner(c, *radii)
-        return report._replace(cycles=()) if len(scanned) == 2 else report
+        return inner(c, *radii)
 
-    monkeypatch.setattr(dynamics, "detect_limit_cycles", first_stage2_lacks_the_shape)
-    result = bautin_scenario(*_FLIP_BASE)
-    # stage 1, then two stage-2 scans: the half fold's and the accepted one
-    assert scanned[::2] == [result.stage1_params, result.stage2_params] and len(scanned) == 3
-    assert result.stage2_eps == 0.6 * _half_fold(result) == 8.343369408680072e-06
-    radii = [round(cyc.radius, 4) for cyc in result.stage2_report.cycles]
-    stabilities = [cyc.stability for cyc in result.stage2_report.cycles]
-    assert radii == [0.2074, 1.0127]
-    assert stabilities == [CycleStability.UNSTABLE, CycleStability.STABLE]
+    monkeypatch.setattr(dynamics, "detect_limit_cycles", counted)
+    with pytest.raises(BadBase) as err:
+        bautin_scenario(*_STAGE2_BAD_BASE)
+    # stage 1 and one stage-2 scan, at half the fold
+    assert len(scanned) == 2
+    eps = scanned[1].K - scanned[1].a1
+    assert f"stage 2 of base (b1={_STAGE2_BAD_BASE[0]}" in str(err.value)
+    assert f"at eps = {eps:.3g} " in str(err.value)
+    assert "found ['Stable']" in str(err.value)
 
 
 #: float.hex of (return_x, return_time) and the crossings, captured when
